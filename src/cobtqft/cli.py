@@ -39,9 +39,7 @@ def load_algebra(selector: str) -> FrobeniusAlgebra:
     if selector.startswith("file:"):
         with open(selector[5:]) as fh:
             algebra = FrobeniusAlgebra.from_json_obj(json.load(fh))
-        report = verify_frobenius(algebra)
-        if not report.all_pass:
-            raise AxiomFailure(report)
+        tqft.ensure_verified(algebra)
         return algebra
     raise ValueError(
         f"unknown algebra {selector!r}: expected one of "
@@ -101,8 +99,7 @@ def cmd_scan(args) -> int:
                                      args.max_closed, args.max_closed_genus)
     algebra = load_algebra(args.algebra)
     cert = faithfulness.faithfulness_scan(bounds, algebra=algebra,
-                                          tag=args.algebra,
-                                          workers=args.workers)
+                                          tag=args.algebra)
     _emit(cert.to_json(), args.output)
     return 0 if cert.distinct else 1
 
@@ -174,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-genus", type=int, default=2)
     p.add_argument("--max-closed", type=int, default=1)
     p.add_argument("--max-closed-genus", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
     add_output(p)
     p.set_defaults(fn=cmd_scan)
 

@@ -20,14 +20,12 @@ import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-RationalScalar = Fraction
-
 
 class RationalMatrix:
     """A sparse ``rows x cols`` matrix over the rationals.
 
     Instances are immutable by convention: no method mutates ``entries``
-    after construction, so values may be shared freely across threads.
+    after construction.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -90,10 +88,6 @@ class RationalMatrix:
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def key(self):
         """Canonical hashable form (for dict-based distinctness checks)."""

@@ -234,7 +234,9 @@ def separating_closure(K: Cobordism, L: Cobordism
             # only the closed parts differ: fill everything
             ms_k = GenusMultiset(_fill_except(K, frozenset()).closed_genera)
             ms_l = GenusMultiset(_fill_except(L, frozenset()).closed_genera)
-            assert ms_k != ms_l
+            if ms_k == ms_l:
+                raise RuntimeError(f"filling every hole leaves equal closed "
+                                   f"genera {ms_k.genera} for {K!r} and {L!r}")
             return ms_k, ms_l
         kept = frozenset([diff])
     else:
@@ -246,7 +248,9 @@ def separating_closure(K: Cobordism, L: Cobordism
     a = 1 + max(_max_genus(K), _max_genus(L))
     ms_k = _close_off(_to_loop(_fill_except(K, kept)), a)
     ms_l = _close_off(_to_loop(_fill_except(L, kept)), a)
-    assert ms_k != ms_l, (K, L, ms_k)
+    if ms_k == ms_l:
+        raise RuntimeError(f"the closing context leaves equal closed genera "
+                           f"{ms_k.genera} for {K!r} and {L!r}")
     return ms_k, ms_l
 
 
@@ -258,6 +262,13 @@ class ScanBounds:
     max_genus: int          # per component with boundary
     max_closed: int         # number of closed pieces
     max_closed_genus: int
+
+    def __post_init__(self):
+        for name, value in self.to_json_obj().items():
+            if value < 0:
+                raise ValueError(f"scan bound {name} must be >= 0, got {value}")
+        if self.max_circles > 3:
+            raise ValueError("more than 3 circles per side outgrows desk scale")
 
     def to_json_obj(self) -> dict:
         return {"max_circles": self.max_circles, "max_genus": self.max_genus,
@@ -331,75 +342,49 @@ class ScanCertificate:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _scan_class(algebra, cobs, cross_check):
-    """Check one equal-arity class.
-
-    Returns (pairs confirmed distinct, items processed, collision or None).
-    """
-    pairs = 0
-    seen: dict = {}
-    for idx, K in enumerate(cobs):
-        matrix_key = evaluate(algebra, K).matrix.key()
-        if matrix_key in seen:
-            return pairs, idx + 1, (seen[matrix_key], K)
-        pairs += idx  # K is now confirmed distinct from all before it
-        seen[matrix_key] = K
-    if cross_check:
-        for K, L in itertools.combinations(cobs, 2):
-            ms_k, ms_l = separating_closure(K, L)
-            if multiset_invariant(ms_k) == multiset_invariant(ms_l):
-                return pairs, len(cobs), (K, L)
-    return pairs, len(cobs), None
-
-
 def faithfulness_scan(bounds: ScanBounds,
                       algebra: Optional[FrobeniusAlgebra] = None,
-                      tag: str = "A",
-                      workers: int = 1) -> ScanCertificate:
+                      tag: str = "A") -> ScanCertificate:
     """Certify pairwise distinctness of all cobordisms within bounds.
 
-    With the default algebra every equal-arity pair is checked by both
-    the matrix route and the separation route; for other algebras the
-    scan runs the matrix route only, reporting the first collision in
-    enumeration order (cross-arity pairs differ by shape and are
-    counted without further work).
+    With the default algebra, or any algebra with its structure matrices,
+    every equal-arity pair is checked by both the matrix route and the
+    separation route; for other algebras the scan runs the matrix route
+    only.  Arity classes are scanned in enumeration order and the first
+    collision is reported; cross-arity pairs differ by shape and are
+    counted without further work.
     """
-    if bounds.max_circles > 3:
-        raise ValueError("more than 3 circles per side outgrows desk scale")
     if algebra is None:
         algebra = faithful_algebra()
         tag = "A"
     ensure_verified(algebra)
-    cross_check = algebra is faithful_algebra()
+    reference = faithful_algebra()
+    cross_check = all(getattr(algebra, name) == getattr(reference, name)
+                      for name in ("mul", "unit", "comul", "counit"))
     every = enumerate_cobordisms(bounds)
-    classes = [tuple(group) for _, group in itertools.groupby(
-        every, key=lambda K: (K.n_in, K.n_out))]
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_class, algebra, cobs, cross_check)
-                       for cobs in classes]
-            results = [fut.result() for fut in futures]
-    else:
-        results = []
-        for cobs in classes:
-            result = _scan_class(algebra, cobs, cross_check)
-            results.append(result)
-            if result[2] is not None:
-                break
-
     total = len(every)
     pairs = 0
-    sizes_before = 0
-    # aggregate in enumeration order regardless of completion order, so
-    # the certificate is deterministic; pairs against earlier classes
-    # differ by arity alone
-    for cobs, (class_pairs, done, collision) in zip(classes, results):
-        pairs += sizes_before * done + class_pairs
-        if collision is not None:
-            return ScanCertificate(tag, bounds, total, pairs, "collision",
-                                   collision)
-        sizes_before += len(cobs)
-    assert pairs == total * (total - 1) // 2
+    before = 0  # cobordisms in earlier arity classes
+    for _, group in itertools.groupby(every, key=lambda K: (K.n_in, K.n_out)):
+        cobs = tuple(group)
+        seen: dict = {}
+        for idx, K in enumerate(cobs):
+            matrix_key = evaluate(algebra, K).matrix.key()
+            # K differs by shape from everything in earlier classes
+            pairs += before
+            if matrix_key in seen:
+                return ScanCertificate(tag, bounds, total, pairs, "collision",
+                                       (seen[matrix_key], K))
+            pairs += idx  # K is now confirmed distinct from all before it
+            seen[matrix_key] = K
+        if cross_check:
+            for K, L in itertools.combinations(cobs, 2):
+                ms_k, ms_l = separating_closure(K, L)
+                if multiset_invariant(ms_k) == multiset_invariant(ms_l):
+                    return ScanCertificate(tag, bounds, total, pairs,
+                                           "collision", (K, L))
+        before += len(cobs)
+    if pairs != total * (total - 1) // 2:
+        raise RuntimeError(f"scan counted {pairs} pairs among {total} "
+                           f"cobordisms, expected {total * (total - 1) // 2}")
     return ScanCertificate(tag, bounds, total, pairs, "distinct")

@@ -131,8 +131,7 @@ class FrobeniusAlgebra:
     this module all produce instances that pass.
     """
 
-    __slots__ = ("dim", "mul", "unit", "comul", "counit", "basis_names",
-                 "_caches")
+    __slots__ = ("dim", "mul", "unit", "comul", "counit", "basis_names")
 
     def __init__(self, dim: int, mul: RationalMatrix, unit: RationalMatrix,
                  comul: RationalMatrix, counit: RationalMatrix,
@@ -154,7 +153,6 @@ class FrobeniusAlgebra:
                             else tuple(f"b{i}" for i in range(dim)))
         if len(self.basis_names) != dim:
             raise ValueError("need one basis name per dimension")
-        self._caches: dict = {}
 
     def __repr__(self) -> str:
         return f"FrobeniusAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -240,8 +238,9 @@ def center_of_group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
             col = i * d + j
             for k, ck in enumerate(classes):
                 c = coeff[ck[0]]
-                assert all(coeff[x] == c for x in ck), "class sums must "\
-                    "multiply to class-sum combinations"
+                if any(coeff[x] != c for x in ck):
+                    raise RuntimeError("class sums must multiply to "
+                                       "class-sum combinations")
                 if c:
                     mul_data[k, col] = Fraction(c)
     mul = RationalMatrix(d, d * d, mul_data)

@@ -103,10 +103,6 @@ class Cobordism:
                 and self.components == other.components
                 and self.closed_genera == other.closed_genera)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -205,7 +201,9 @@ def compose(first: Cobordism, second: Cobordism) -> Cobordism:
                 outs.extend(c.outgoing)
         boundary = len(ins) + len(outs)
         twice_genus = 2 - chi - boundary
-        assert twice_genus >= 0 and twice_genus % 2 == 0, (chi, boundary)
+        if twice_genus < 0 or twice_genus % 2:
+            raise RuntimeError(f"glued piece has Euler characteristic {chi} "
+                               f"with {boundary} boundary circles")
         genus = twice_genus // 2
         if boundary == 0:
             closed.append(genus)

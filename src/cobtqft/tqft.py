@@ -13,18 +13,18 @@ and the closed-surface invariants, including
 ``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for the faithful 15-dimensional
 algebra.
 
-Evaluation is pure; the per-algebra caches only memoize values that are
-deterministic functions of the algebra, so concurrent evaluations can
-at worst recompute an entry.
+Evaluation is pure, so the building blocks are memoized per algebra
+with ``functools.lru_cache``; algebras hash by identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import RationalMatrix, kron, mat_mul, perm_matrix
-from .frobenius import FrobeniusAlgebra, verify_frobenius
+from .frobenius import AxiomReport, FrobeniusAlgebra, verify_frobenius
 from .surface import Cobordism
 
 
@@ -45,86 +45,63 @@ class Evaluation:
     matrix: RationalMatrix
 
 
-def _caches(a: FrobeniusAlgebra) -> dict:
-    return a._caches.setdefault("tqft", {
-        "verified": None, "itmul": {}, "itcomul": {},
-        "handle": {}, "component": {}, "closed": {}, "perm": {}})
+@lru_cache(maxsize=None)
+def _axioms(a: FrobeniusAlgebra) -> AxiomReport:
+    return verify_frobenius(a)
 
 
 def ensure_verified(a: FrobeniusAlgebra) -> None:
-    c = _caches(a)
-    if c["verified"] is None:
-        c["verified"] = verify_frobenius(a)
-    if not c["verified"].all_pass:
-        raise AxiomFailure(c["verified"])
+    report = _axioms(a)
+    if not report.all_pass:
+        raise AxiomFailure(report)
 
 
+@lru_cache(maxsize=None)
 def iterated_mul(a: FrobeniusAlgebra, n: int) -> RationalMatrix:
     """The n-fold multiplication dim^n -> dim (unit for n=0)."""
-    cache = _caches(a)["itmul"]
-    if n not in cache:
-        if n == 0:
-            m = a.unit
-        elif n == 1:
-            m = RationalMatrix.identity(a.dim)
-        else:
-            m = mat_mul(a.mul, kron(iterated_mul(a, n - 1),
-                                    RationalMatrix.identity(a.dim)))
-        cache[n] = m
-    return cache[n]
+    if n == 0:
+        return a.unit
+    if n == 1:
+        return RationalMatrix.identity(a.dim)
+    return mat_mul(a.mul, kron(iterated_mul(a, n - 1),
+                               RationalMatrix.identity(a.dim)))
 
 
+@lru_cache(maxsize=None)
 def iterated_comul(a: FrobeniusAlgebra, m: int) -> RationalMatrix:
     """The m-fold comultiplication dim -> dim^m (counit for m=0)."""
-    cache = _caches(a)["itcomul"]
-    if m not in cache:
-        if m == 0:
-            mat = a.counit
-        elif m == 1:
-            mat = RationalMatrix.identity(a.dim)
-        else:
-            mat = mat_mul(kron(iterated_comul(a, m - 1),
-                               RationalMatrix.identity(a.dim)), a.comul)
-        cache[m] = mat
-    return cache[m]
+    if m == 0:
+        return a.counit
+    if m == 1:
+        return RationalMatrix.identity(a.dim)
+    return mat_mul(kron(iterated_comul(a, m - 1),
+                        RationalMatrix.identity(a.dim)), a.comul)
 
 
+@lru_cache(maxsize=None)
 def handle_power(a: FrobeniusAlgebra, k: int) -> RationalMatrix:
     """The k-th power of the handle operator mul∘comul."""
-    cache = _caches(a)["handle"]
-    if k not in cache:
-        if k == 0:
-            m = RationalMatrix.identity(a.dim)
-        else:
-            m = mat_mul(handle_power(a, k - 1), mat_mul(a.mul, a.comul))
-        cache[k] = m
-    return cache[k]
+    if k == 0:
+        return RationalMatrix.identity(a.dim)
+    return mat_mul(handle_power(a, k - 1), mat_mul(a.mul, a.comul))
 
 
+@lru_cache(maxsize=None)
 def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMatrix:
     """Matrix of the connected block with n ingoing, m outgoing, genus k."""
-    cache = _caches(a)["component"]
-    key = (m, k, n)
-    if key not in cache:
-        inner = mat_mul(handle_power(a, k), iterated_mul(a, n))
-        cache[key] = mat_mul(iterated_comul(a, m), inner)
-    return cache[key]
+    inner = mat_mul(handle_power(a, k), iterated_mul(a, n))
+    return mat_mul(iterated_comul(a, m), inner)
 
 
+@lru_cache(maxsize=None)
 def closed_scalar(a: FrobeniusAlgebra, g: int) -> Fraction:
     """counit ∘ handle^g ∘ unit, the value of the closed genus-g surface."""
-    cache = _caches(a)["closed"]
-    if g not in cache:
-        mat = mat_mul(a.counit, mat_mul(handle_power(a, g), a.unit))
-        cache[g] = mat.get(0, 0)
-    return cache[g]
+    return mat_mul(a.counit, mat_mul(handle_power(a, g), a.unit)).get(0, 0)
 
 
+@lru_cache(maxsize=None)
 def _routing(a: FrobeniusAlgebra, p: tuple[int, ...]) -> RationalMatrix:
-    cache = _caches(a)["perm"]
-    if p not in cache:
-        cache[p] = perm_matrix(p, a.dim)
-    return cache[p]
+    return perm_matrix(p, a.dim)
 
 
 def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
@@ -148,7 +125,9 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
         scalar *= closed_scalar(a, g)
     if scalar != 1:
         matrix = matrix.scale(scalar)
-    assert matrix.shape == (a.dim ** K.n_out, a.dim ** K.n_in)
+    if matrix.shape != (a.dim ** K.n_out, a.dim ** K.n_in):
+        raise RuntimeError(f"evaluation of a {K.n_in} -> {K.n_out} cobordism "
+                           f"produced a {matrix.rows}x{matrix.cols} matrix")
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 
@@ -178,6 +157,8 @@ def closed_invariant(tag: str, k: int) -> Fraction:
     At k = 0 each formula evaluates to counit∘unit (5, 1 and 5
     respectively), so one expression covers all genera.
     """
+    if k < 0:
+        raise ValueError(f"no closed surface has genus {k}")
     if tag == "qz5":
         return Fraction(5)
     base = Fraction(3, 2) ** (k - 1) * (Fraction(2) ** (2 * k - 1) + 1)

@@ -18,6 +18,9 @@ def test_invariant(capsys):
     assert code == 0 and out.strip() == "15"
     code, out, _ = run(capsys, "invariant", "--algebra", "A", "--genus", "2")
     assert code == 0 and out.strip() == "135/2"
+    code, out, err = run(capsys, "invariant", "--algebra", "A", "--genus", "-1")
+    assert code == 2 and out == "" and "genus -1" in err
+    assert len(err.splitlines()) == 1
     code, out, err = run(capsys, "invariant", "--algebra", "file:x", "--genus", "1")
     assert code == 2 and "closed form" in err
 
@@ -52,6 +55,25 @@ def test_verify_exit_codes(capsys, tmp_path):
     path.write_text(json.dumps(broken))
     code, _, err = run(capsys, "verify", "--algebra", f"file:{path}")
     assert code == 1 and "counit" in err
+
+
+def test_file_algebra_verified_once_per_eval(capsys, tmp_path, monkeypatch):
+    from cobtqft import cli, frobenius, tqft
+    calls = []
+    original = frobenius.verify_frobenius
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (cli, frobenius, tqft):
+        monkeypatch.setattr(module, "verify_frobenius", counting)
+    path = tmp_path / "zqs3.json"
+    path.write_text(zqs3().to_json())
+    code, _, _ = run(capsys, "eval", "--algebra", f"file:{path}",
+                     "--term", "delta ; mu")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_file_algebra_round_trip(capsys, tmp_path):
@@ -91,6 +113,11 @@ def test_scan_and_output_file(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "collision"
 
 
+def test_scan_rejects_negative_bounds(capsys):
+    code, out, err = run(capsys, "scan", "--max-circles", "-1")
+    assert code == 2 and out == "" and "max_circles" in err
+
+
 def test_separate(capsys, tmp_path):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"
@@ -108,6 +135,9 @@ def test_separate(capsys, tmp_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["eval"])  # missing --term
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--workers", "2"])  # no such option
     assert err.value.code == 2
 
 

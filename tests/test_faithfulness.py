@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from cobtqft.faithfulness import (ExceptionalTriple, GenusMultiset,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
-from cobtqft.frobenius import qz5
+from cobtqft.frobenius import FrobeniusAlgebra, faithful_algebra, qz5
 from cobtqft.surface import (Cobordism, component, e_block, identity,
                              permutation, tensor)
 
@@ -210,9 +211,23 @@ def test_scan_rejects_oversized_bounds():
         faithfulness_scan(ScanBounds(4, 1, 0, 0))
 
 
-def test_scan_workers_agree_with_serial():
+def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
+        monkeypatch):
+    from cobtqft import faithfulness
+    copy = FrobeniusAlgebra.from_json_obj(faithful_algebra().to_json_obj())
+    assert copy is not faithful_algebra()
+    calls = []
+    original = faithfulness.separating_closure
+
+    def counting(K, L):
+        calls.append((K, L))
+        return original(K, L)
+
+    monkeypatch.setattr(faithfulness, "separating_closure", counting)
     bounds = ScanBounds(max_circles=1, max_genus=1, max_closed=1,
                         max_closed_genus=1)
-    serial = faithfulness_scan(bounds)
-    parallel = faithfulness_scan(bounds, workers=2)
-    assert serial == parallel
+    cert = faithfulness_scan(bounds, algebra=copy, tag="file:A.json")
+    assert cert.distinct
+    sizes = collections.Counter(
+        (K.n_in, K.n_out) for K in enumerate_cobordisms(bounds))
+    assert len(calls) == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
