@@ -123,9 +123,26 @@ class RationalMatrix:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalMatrix":
-        return cls(obj["rows"], obj["cols"],
-                   {(r, c): Fraction(s) for r, c, s in obj["entries"]})
+    def from_json_obj(cls, obj) -> "RationalMatrix":
+        """Parse the JSON form; malformed input raises ValueError."""
+        if not (isinstance(obj, dict) and type(obj.get("rows")) is int
+                and type(obj.get("cols")) is int
+                and isinstance(obj.get("entries"), list)):
+            raise ValueError('a matrix must be {"rows": R, "cols": C, '
+                             '"entries": [...]}')
+        entries = {}
+        for entry in obj["entries"]:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and type(entry[0]) is int and type(entry[1]) is int
+                    and isinstance(entry[2], str)):
+                raise ValueError(f'matrix entry {entry!r} is not '
+                                 f'[row, col, "p/q"]')
+            try:
+                entries[entry[0], entry[1]] = Fraction(entry[2])
+            except ZeroDivisionError:
+                raise ValueError(f"matrix entry {entry!r} divides by zero") \
+                    from None
+        return cls(obj["rows"], obj["cols"], entries)
 
     @classmethod
     def from_json(cls, text: str) -> "RationalMatrix":

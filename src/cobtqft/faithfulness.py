@@ -99,17 +99,22 @@ def zsigmondy_witness(a: int, b: int, n: int) -> int:
 # --- genus-multiset invariants ---------------------------------------------
 
 @lru_cache(maxsize=None)
-def _closed_value(k: int) -> Fraction:
-    return closed_invariant("A", k)
+def _product(genera: tuple[int, ...]) -> Fraction:
+    value = Fraction(1)
+    for k in genera:
+        value *= closed_invariant("A", k)
+    return value
 
 
 def multiset_invariant(ks: GenusMultiset | Sequence[int]) -> Fraction:
-    """Product of the closed-surface invariants of the multiset entries."""
-    genera = ks.genera if isinstance(ks, GenusMultiset) else ks
-    value = Fraction(1)
-    for k in genera:
-        value *= _closed_value(k)
-    return value
+    """Product of the closed-surface invariants of the multiset entries.
+
+    Memoized per multiset: a scan meets a few hundred distinct multisets
+    millions of times.
+    """
+    if not isinstance(ks, GenusMultiset):
+        ks = genus_multiset(ks)
+    return _product(ks.genera)
 
 
 @dataclass(frozen=True)
@@ -142,67 +147,72 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 # --- the separating context pipeline ---------------------------------------
 
 @lru_cache(maxsize=None)
-def _label_data(K: Cobordism):
-    """Per-label component ids and genera, plus the partition signature."""
-    comp_of = {}
-    genus_of = {}
-    for idx, c in enumerate(K.components):
-        for i in c.ingoing:
-            comp_of[BoundaryLabel(i, INGOING)] = idx
-            genus_of[BoundaryLabel(i, INGOING)] = c.genus
-        for j in c.outgoing:
-            comp_of[BoundaryLabel(j, OUTGOING)] = idx
-            genus_of[BoundaryLabel(j, OUTGOING)] = c.genus
-    return comp_of, genus_of, surface.rho(K)
+def _labels(n_in: int, n_out: int):
+    """The boundary labels, ingoing first, and their pairs in
+    `itertools.combinations` order."""
+    labels = (tuple(BoundaryLabel(i, INGOING) for i in range(n_in))
+              + tuple(BoundaryLabel(j, OUTGOING) for j in range(n_out)))
+    return labels, tuple(itertools.combinations(labels, 2))
 
 
-def _all_labels(K: Cobordism) -> list[BoundaryLabel]:
-    return ([BoundaryLabel(i, INGOING) for i in range(K.n_in)]
-            + [BoundaryLabel(j, OUTGOING) for j in range(K.n_out)])
+class _LabelData(NamedTuple):
+    """What the separation needs to know about one cobordism."""
+
+    labels: tuple[BoundaryLabel, ...]
+    pairs: tuple[tuple[BoundaryLabel, BoundaryLabel], ...]
+    genera: tuple[int, ...]  # genus of each label's component
+    same: tuple[bool, ...]   # per pair: do both labels share a component?
+    max_genus: int
+    filled: GenusMultiset    # closed genera once every hole is filled
 
 
 @lru_cache(maxsize=None)
-def _fill_except(K: Cobordism, kept: frozenset) -> Cobordism:
+def _label_data(K: Cobordism) -> _LabelData:
+    """Per-label data of K.  The `same` flags encode the boundary
+    partition: two cobordisms have equal flags iff their partitions agree."""
+    labels, pairs = _labels(K.n_in, K.n_out)
+    owner = {}
+    for c in K.components:
+        owner.update((BoundaryLabel(i, INGOING), c) for i in c.ingoing)
+        owner.update((BoundaryLabel(j, OUTGOING), c) for j in c.outgoing)
+    return _LabelData(
+        labels, pairs, tuple(owner[x].genus for x in labels),
+        tuple(owner[x] is owner[y] for x, y in pairs),
+        max([c.genus for c in K.components] + list(K.closed_genera) + [0]),
+        GenusMultiset(_fill_except(K, ()).closed_genera))
+
+
+def _fill_except(K: Cobordism, kept: tuple) -> Cobordism:
     """Cap every boundary circle not in `kept`, ingoing first, ascending."""
-    filled_in = 0
-    for i in range(K.n_in):
-        if BoundaryLabel(i, INGOING) not in kept:
-            K = surface.fill_hole(K, BoundaryLabel(i - filled_in, INGOING))
-            filled_in += 1
-    filled_out = 0
-    for j in range(K.n_out):
-        if BoundaryLabel(j, OUTGOING) not in kept:
-            K = surface.fill_hole(K, BoundaryLabel(j - filled_out, OUTGOING))
-            filled_out += 1
+    for side, arity in ((INGOING, K.n_in), (OUTGOING, K.n_out)):
+        filled = 0
+        for i in range(arity):
+            if BoundaryLabel(i, side) not in kept:
+                K = surface.fill_hole(K, BoundaryLabel(i - filled, side))
+                filled += 1
     return K
 
 
-@lru_cache(maxsize=None)
-def _to_loop(K: Cobordism) -> Cobordism:
-    """Stretch a fully-filled-except cobordism to arity 1 -> 1."""
-    shape = (K.n_in, K.n_out)
-    if shape == (1, 1):
-        return K
-    if shape == (1, 0):
-        return surface.stretch1(K)
-    if shape == (0, 1):
-        return surface.stretch1_dual(K)
-    if shape == (2, 0):
-        return surface.stretch2(K)
-    if shape == (0, 2):
-        return surface.stretch2_dual(K)
-    raise AssertionError(f"unexpected arity {shape} in separation pipeline")
+# the move that stretches a cobordism with one or two holes left to 1 -> 1
+_STRETCH = {(1, 0): surface.stretch1, (0, 1): surface.stretch1_dual,
+            (2, 0): surface.stretch2, (0, 2): surface.stretch2_dual}
 
 
 @lru_cache(maxsize=None)
-def _close_off(K: Cobordism, a: int) -> GenusMultiset:
-    closed = surface.closure(K, a)
-    return GenusMultiset(closed.closed_genera)
+def _closing_context(K: Cobordism, kept: tuple, a: int) -> GenusMultiset:
+    """Fill every hole of K but `kept`, stretch to a loop, close off with
+    genus-a caps, and return the closed genera."""
+    loop = _fill_except(K, kept)
+    if (loop.n_in, loop.n_out) != (1, 1):
+        loop = _STRETCH[loop.n_in, loop.n_out](loop)
+    return GenusMultiset(surface.closure(loop, a).closed_genera)
 
 
-def _max_genus(K: Cobordism) -> int:
-    return max([c.genus for c in K.components]
-               + list(K.closed_genera) + [0])
+def _first_difference(xs: tuple, ys: tuple) -> int:
+    """The first index at which two unequal tuples of one length differ."""
+    for i, x in enumerate(xs):
+        if x != ys[i]:
+            return i
 
 
 def separating_closure(K: Cobordism, L: Cobordism
@@ -217,37 +227,30 @@ def separating_closure(K: Cobordism, L: Cobordism
     partitions differ, keep a pair of labels related in exactly one of
     the two, fill the rest, stretch (same context on both sides) and
     close off.  The closing genus exceeds every genus present, so the
-    resulting multisets always differ.
+    resulting multisets always differ.  The first differing label, or
+    label pair, is the one kept.
     """
     if (K.n_in, K.n_out) != (L.n_in, L.n_out):
         raise ValueError(f"arity mismatch: {K.n_in}->{K.n_out} vs "
                          f"{L.n_in}->{L.n_out}")
     if K == L:
         raise ValueError("the cobordisms are equal; nothing separates them")
-    comp_k, genus_k, rho_k = _label_data(K)
-    comp_l, genus_l, rho_l = _label_data(L)
-    labels = _all_labels(K)
-
-    if rho_k == rho_l:
-        diff = next((x for x in labels if genus_k[x] != genus_l[x]), None)
-        if diff is None:
+    dk, dl = _label_data(K), _label_data(L)
+    if dk.same == dl.same:
+        if dk.genera == dl.genera:
             # only the closed parts differ: fill everything
-            ms_k = GenusMultiset(_fill_except(K, frozenset()).closed_genera)
-            ms_l = GenusMultiset(_fill_except(L, frozenset()).closed_genera)
-            if ms_k == ms_l:
+            if dk.filled == dl.filled:
                 raise RuntimeError(f"filling every hole leaves equal closed "
-                                   f"genera {ms_k.genera} for {K!r} and {L!r}")
-            return ms_k, ms_l
-        kept = frozenset([diff])
+                                   f"genera {dk.filled.genera} for {K!r} "
+                                   f"and {L!r}")
+            return dk.filled, dl.filled
+        kept = (dk.labels[_first_difference(dk.genera, dl.genera)],)
     else:
-        pair = next(
-            (x, y) for x, y in itertools.combinations(labels, 2)
-            if (comp_k[x] == comp_k[y]) != (comp_l[x] == comp_l[y]))
-        kept = frozenset(pair)
+        kept = dk.pairs[_first_difference(dk.same, dl.same)]
 
-    a = 1 + max(_max_genus(K), _max_genus(L))
-    ms_k = _close_off(_to_loop(_fill_except(K, kept)), a)
-    ms_l = _close_off(_to_loop(_fill_except(L, kept)), a)
+    a = 1 + max(dk.max_genus, dl.max_genus)
+    ms_k = _closing_context(K, kept, a)
+    ms_l = _closing_context(L, kept, a)
     if ms_k == ms_l:
         raise RuntimeError(f"the closing context leaves equal closed genera "
                            f"{ms_k.genera} for {K!r} and {L!r}")

@@ -167,13 +167,25 @@ class FrobeniusAlgebra:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FrobeniusAlgebra":
-        return cls(obj["dim"],
-                   RationalMatrix.from_json_obj(obj["mul"]),
-                   RationalMatrix.from_json_obj(obj["unit"]),
-                   RationalMatrix.from_json_obj(obj["comul"]),
-                   RationalMatrix.from_json_obj(obj["counit"]),
-                   obj.get("basis"))
+    def from_json_obj(cls, obj) -> "FrobeniusAlgebra":
+        """Parse the JSON form; a malformed field raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"an algebra must be a JSON object, "
+                             f"got {type(obj).__name__}")
+        if type(obj.get("dim")) is not int:
+            raise ValueError(f"algebra field 'dim' must be an integer, "
+                             f"got {obj.get('dim')!r}")
+        basis = obj.get("basis")
+        if basis is not None and not (isinstance(basis, list) and all(
+                isinstance(name, str) for name in basis)):
+            raise ValueError("algebra field 'basis' must be a list of strings")
+        maps = []
+        for field in ("mul", "unit", "comul", "counit"):
+            try:
+                maps.append(RationalMatrix.from_json_obj(obj.get(field)))
+            except ValueError as err:
+                raise ValueError(f"algebra field {field!r}: {err}") from None
+        return cls(obj["dim"], *maps, basis)
 
 
 class PairingData(NamedTuple):

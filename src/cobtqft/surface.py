@@ -125,11 +125,38 @@ class Cobordism:
                 "closed": list(self.closed_genera)}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Cobordism":
-        return cls(obj["in"], obj["out"],
-                   [component(c["in"], c["out"], c["genus"])
-                    for c in obj["components"]],
-                   obj["closed"])
+    def from_json_obj(cls, obj) -> "Cobordism":
+        """Parse the JSON form; a malformed field raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a cobordism must be a JSON object, "
+                             f"got {type(obj).__name__}")
+        comps = obj.get("components")
+        if not (isinstance(comps, list)
+                and all(isinstance(c, dict) for c in comps)):
+            raise ValueError("cobordism field 'components' must be a list "
+                             "of JSON objects")
+        return cls(_json_int(obj.get("in"), "in"),
+                   _json_int(obj.get("out"), "out"),
+                   [component(_json_ints(c.get("in"), f"components[{n}].in"),
+                              _json_ints(c.get("out"), f"components[{n}].out"),
+                              _json_int(c.get("genus"),
+                                        f"components[{n}].genus"))
+                    for n, c in enumerate(comps)],
+                   _json_ints(obj.get("closed"), "closed"))
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"cobordism field {field!r} must be an integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _json_ints(value, field: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"cobordism field {field!r} must be a list of "
+                         f"integers, got {value!r}")
+    return [_json_int(v, field) for v in value]
 
 
 def e_block(m: int, k: int, n: int) -> Cobordism:

@@ -50,10 +50,12 @@ def _axioms(a: FrobeniusAlgebra) -> AxiomReport:
     return verify_frobenius(a)
 
 
-def ensure_verified(a: FrobeniusAlgebra) -> None:
+def ensure_verified(a: FrobeniusAlgebra) -> AxiomReport:
+    """The memoized axiom report of ``a``; AxiomFailure if any fails."""
     report = _axioms(a)
     if not report.all_pass:
         raise AxiomFailure(report)
+    return report
 
 
 @lru_cache(maxsize=None)

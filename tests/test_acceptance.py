@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line
 per criterion with its runtime.
 """
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction as F
@@ -240,6 +241,9 @@ def test_criterion_09_faithfulness_scan():
     assert cert.verdict == "distinct"
     assert cert.enumerated == 2330
     assert cert.pairs_checked == cert.enumerated * (cert.enumerated - 1) // 2
+    # the bytes `cobtqft scan` prints at the default bounds
+    assert hashlib.sha256((cert.to_json() + "\n").encode()).hexdigest() \
+        == "b25dc6fc4d1ee7d92b1999830629f4731566e7212cd2176ae1569393082b7603"
     assert t.seconds < 300.0
     report(9, f"{cert.enumerated} cobordisms, {cert.pairs_checked} pairs "
               "distinct by both routes", t.seconds)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -57,8 +58,10 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert code == 1 and "counit" in err
 
 
-def test_file_algebra_verified_once_per_eval(capsys, tmp_path, monkeypatch):
-    from cobtqft import cli, frobenius, tqft
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The algebras passed to verify_frobenius, wherever it is called from."""
+    from cobtqft import frobenius
     calls = []
     original = frobenius.verify_frobenius
 
@@ -66,14 +69,29 @@ def test_file_algebra_verified_once_per_eval(capsys, tmp_path, monkeypatch):
         calls.append(a)
         return original(a)
 
-    for module in (cli, frobenius, tqft):
-        monkeypatch.setattr(module, "verify_frobenius", counting)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("cobtqft")
+                and getattr(module, "verify_frobenius", None) is original):
+            monkeypatch.setattr(module, "verify_frobenius", counting)
+    return calls
+
+
+def test_file_algebra_verified_once_per_eval(capsys, tmp_path, verify_calls):
     path = tmp_path / "zqs3.json"
     path.write_text(zqs3().to_json())
     code, _, _ = run(capsys, "eval", "--algebra", f"file:{path}",
                      "--term", "delta ; mu")
     assert code == 0
-    assert len(calls) == 1
+    assert len(verify_calls) == 1
+
+
+def test_file_algebra_verified_once_per_verify(capsys, tmp_path, verify_calls):
+    path = tmp_path / "zqs3.json"
+    path.write_text(zqs3().to_json())
+    code, out, _ = run(capsys, "verify", "--algebra", f"file:{path}")
+    assert code == 0
+    assert out.count("pass") == 9 and "FAIL" not in out
+    assert len(verify_calls) == 1
 
 
 def test_verify_file_algebra_round_trip(capsys, tmp_path):
@@ -130,6 +148,27 @@ def test_separate(capsys, tmp_path):
     assert obj["left"]["genera"] == [5]
     assert obj["right"]["genera"] == [4]
     assert obj["left"]["invariant"] != obj["right"]["invariant"]
+
+
+def test_separate_rejects_a_non_integer_genus(capsys, tmp_path):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    bad = e_block(1, 1, 1).to_json_obj()
+    bad["components"][0]["genus"] = "x"
+    left.write_text(json.dumps(bad))
+    right.write_text(json.dumps(e_block(1, 0, 1).to_json_obj()))
+    code, out, err = run(capsys, "separate", "--left", str(left),
+                         "--right", str(right))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "genus" in err
+
+
+def test_file_algebra_must_be_a_json_object(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([zqs3().to_json_obj()]))
+    code, out, err = run(capsys, "verify", "--algebra", f"file:{path}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "JSON object" in err
 
 
 def test_usage_error_exit_code():

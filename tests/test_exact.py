@@ -142,3 +142,15 @@ def test_json_round_trip_and_format():
     text = m.to_json()
     assert '"3/2"' in text and '"-2"' in text  # denominator 1 omitted
     assert RationalMatrix.from_json(text) == m
+
+
+@pytest.mark.parametrize("obj", [
+    [], {"rows": 1, "cols": "1", "entries": []},
+    {"rows": 1, "cols": 1, "entries": 5},
+    {"rows": 1, "cols": 1, "entries": [[0, 0, 1.5]]},
+    {"rows": 1, "cols": 1, "entries": [[0, 0, "x"]]},
+    {"rows": 1, "cols": 1, "entries": [[0, 0, "1/0"]]},
+])
+def test_json_rejects_malformed_matrices(obj):
+    with pytest.raises(ValueError):
+        RationalMatrix.from_json_obj(obj)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 from fractions import Fraction as F
 
@@ -10,8 +11,10 @@ from cobtqft.faithfulness import (ExceptionalTriple, GenusMultiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
 from cobtqft.frobenius import FrobeniusAlgebra, faithful_algebra, qz5
-from cobtqft.surface import (Cobordism, component, e_block, identity,
-                             permutation, tensor)
+from cobtqft import surface
+from cobtqft.surface import (INGOING, OUTGOING, BoundaryLabel, Cobordism,
+                             component, e_block, identity, permutation,
+                             tensor)
 
 
 def test_zsigmondy_exceptional_triple():
@@ -49,6 +52,14 @@ def test_multiset_invariant_values():
     assert multiset_invariant(()) == 1
     assert multiset_invariant((1,)) == 15
     assert multiset_invariant(genus_multiset((0, 2))) == F(675, 2)
+    # any sequence of genera, in any order, names the same multiset
+    value = multiset_invariant(GenusMultiset((3, 1, 0)))
+    assert value == 5 * 15 * F(1485, 4)
+    assert multiset_invariant([0, 3, 1]) == multiset_invariant((1, 0, 3)) \
+        == value
+    for bad in ([1, -1], (-2,), GenusMultiset((-1,))):
+        with pytest.raises(ValueError):
+            multiset_invariant(bad)
 
 
 def test_multiset_invariant_multiplicative():
@@ -133,9 +144,66 @@ def test_separating_closure_exhaustive_over_small_bounds():
         assert separating_closure(L, K) == (ms_l, ms_k)
 
 
+def _reference_separating_closure(K, L):
+    """The separation case analysis written out directly on boundary
+    partitions (`surface.rho`), per-label dictionaries and label pairs:
+    the reference that the module's precomputed tuples must match."""
+    comp_k, genus_k, comp_l, genus_l = {}, {}, {}, {}
+    for X, comp_of, genus_of in ((K, comp_k, genus_k), (L, comp_l, genus_l)):
+        for idx, c in enumerate(X.components):
+            for label in ([BoundaryLabel(i, INGOING) for i in c.ingoing]
+                          + [BoundaryLabel(j, OUTGOING) for j in c.outgoing]):
+                comp_of[label] = idx
+                genus_of[label] = c.genus
+    labels = ([BoundaryLabel(i, INGOING) for i in range(K.n_in)]
+              + [BoundaryLabel(j, OUTGOING) for j in range(K.n_out)])
+    if surface.rho(K) == surface.rho(L):
+        diff = next((x for x in labels if genus_k[x] != genus_l[x]), None)
+        if diff is None:
+            return (GenusMultiset(_reference_fill(K, ()).closed_genera),
+                    GenusMultiset(_reference_fill(L, ()).closed_genera))
+        kept = (diff,)
+    else:
+        kept = next(
+            (x, y) for x, y in itertools.combinations(labels, 2)
+            if (comp_k[x] == comp_k[y]) != (comp_l[x] == comp_l[y]))
+    a = 1 + max([c.genus for X in (K, L) for c in X.components]
+                + list(K.closed_genera) + list(L.closed_genera) + [0])
+    return _reference_close(K, kept, a), _reference_close(L, kept, a)
+
+
+def _reference_fill(K, kept):
+    filled_in = 0
+    for i in range(K.n_in):
+        if BoundaryLabel(i, INGOING) not in kept:
+            K = surface.fill_hole(K, BoundaryLabel(i - filled_in, INGOING))
+            filled_in += 1
+    filled_out = 0
+    for j in range(K.n_out):
+        if BoundaryLabel(j, OUTGOING) not in kept:
+            K = surface.fill_hole(K, BoundaryLabel(j - filled_out, OUTGOING))
+            filled_out += 1
+    return K
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_close(K, kept, a):
+    K = _reference_fill(K, kept)
+    if (K.n_in, K.n_out) == (1, 0):
+        K = surface.stretch1(K)
+    elif (K.n_in, K.n_out) == (0, 1):
+        K = surface.stretch1_dual(K)
+    elif (K.n_in, K.n_out) == (2, 0):
+        K = surface.stretch2(K)
+    elif (K.n_in, K.n_out) == (0, 2):
+        K = surface.stretch2_dual(K)
+    return GenusMultiset(surface.closure(K, a).closed_genera)
+
+
 def test_separating_closure_exhaustive_two_circles():
     # two circles on a side exercise the same-side separating pairs,
-    # which route through both stretching moves
+    # which route through both stretching moves; every pair must match
+    # the reference case analysis, in order
     bounds = ScanBounds(max_circles=2, max_genus=1, max_closed=1,
                         max_closed_genus=1)
     pool = enumerate_cobordisms(bounds)
@@ -147,9 +215,10 @@ def test_separating_closure_exhaustive_two_circles():
         for K, L in itertools.combinations(group, 2):
             ms_k, ms_l = separating_closure(K, L)
             assert ms_k != ms_l, (K, L)
+            assert (ms_k, ms_l) == _reference_separating_closure(K, L), (K, L)
             assert multiset_invariant(ms_k) != multiset_invariant(ms_l)
             checked += 1
-    assert checked > 40000
+    assert checked == 44403
 
 
 def test_enumeration_counts_and_order():
