@@ -13,12 +13,13 @@ from .surface import (BoundaryLabel, Cobordism, Component, component,
                       compose, e_block, fill_hole, permutation, rho, tensor)
 from .diagram import (Term, TermArityError, TermError, TermSyntaxError,
                       elaborate, format_cobordism, parse, print_term)
-from .frobenius import (FiniteGroup, FrobeniusAlgebra, algebra_by_tag,
+from .frobenius import (FiniteGroup, FrobeniusAlgebra,
                         center_of_group_algebra, faithful_algebra,
                         group_algebra, pairing_copairing, qz5,
                         tensor_algebra, verify_frobenius, zqs3)
-from .tqft import (Evaluation, closed_invariant, evaluate, iterated_comul,
-                   iterated_mul, zqs3_handle_power)
+from .tqft import (ALGEBRAS, Evaluation, closed_invariant, evaluate,
+                   iterated_comul, iterated_mul, load_algebra,
+                   zqs3_handle_power)
 from .faithfulness import (ExceptionalTriple, GenusMultiset, ScanBounds,
                            ScanCertificate, enumerate_cobordisms,
                            faithfulness_scan, genus_multiset,

@@ -25,24 +25,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import diagram, faithfulness, golden, tqft
-from .frobenius import ALGEBRA_TAGS, FrobeniusAlgebra, algebra_by_tag
+from . import diagram, faithfulness, golden, surface, tqft
 from .surface import Cobordism
-from .tqft import AxiomFailure
+from .tqft import AxiomFailure, load_algebra
 
 
-def load_algebra(selector: str) -> FrobeniusAlgebra:
-    """Resolve qz5 | zqs3 | A | file:<path> to a verified algebra."""
-    if selector in ALGEBRA_TAGS:
-        return algebra_by_tag(selector)
-    if selector.startswith("file:"):
-        with open(selector[5:]) as fh:
-            algebra = FrobeniusAlgebra.from_json_obj(json.load(fh))
-        tqft.ensure_verified(algebra)
-        return algebra
-    raise ValueError(
-        f"unknown algebra {selector!r}: expected one of "
-        f"{', '.join(ALGEBRA_TAGS)} or file:<path>")
+# The largest matrix `eval` builds, in entries: the 3 -> 3 matrices under
+# A, the largest the scan allows.
+MAX_EVAL_ENTRIES = 15 ** 6
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -56,6 +46,11 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_eval(args) -> int:
     algebra = load_algebra(args.algebra)
     K = diagram.elaborate(diagram.parse(args.term))
+    surface.check_input_genus(K.max_genus())
+    if algebra.dim ** (K.n_in + K.n_out) > MAX_EVAL_ENTRIES:
+        raise ValueError(f"a {K.n_in} -> {K.n_out} word under a "
+                         f"{algebra.dim}-dimensional algebra exceeds the "
+                         f"limit of {MAX_EVAL_ENTRIES} matrix entries")
     ev = tqft.evaluate(algebra, K)
     obj = {"in": ev.n_in, "out": ev.n_out, "dim": algebra.dim,
            "matrix": ev.matrix.to_json_obj()}
@@ -64,12 +59,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    if args.algebra not in ALGEBRA_TAGS:
-        print("error: the closed form is only available for qz5, zqs3, A; "
-              "use `eval --term` with a closed word for other algebras",
-              file=sys.stderr)
-        return 2
-    _emit(str(tqft.closed_invariant(args.algebra, args.genus)), args.output)
+    genus = surface.check_input_genus(args.genus)
+    _emit(str(tqft.closed_invariant(args.algebra, genus)), args.output)
     return 0
 
 
@@ -96,9 +87,7 @@ def cmd_golden(args) -> int:
 def cmd_scan(args) -> int:
     bounds = faithfulness.ScanBounds(args.max_circles, args.max_genus,
                                      args.max_closed, args.max_closed_genus)
-    algebra = load_algebra(args.algebra)
-    cert = faithfulness.faithfulness_scan(bounds, algebra=algebra,
-                                          tag=args.algebra)
+    cert = faithfulness.faithfulness_scan(bounds, args.algebra)
     _emit(cert.to_json(), args.output)
     return 0 if cert.distinct else 1
 

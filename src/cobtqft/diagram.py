@@ -15,6 +15,10 @@ E[m,k,n]: n->m (the connected genus-k block, admitted as sugar).
 
 ``a ; b`` means "a first, then b", matching the top-to-bottom picture
 convention; in function-composition notation it is ``b ∘ a``.
+
+A word holds at most MAX_TOKENS tokens, which bounds the nesting depth
+the recursive parser and elaborator meet, and every number in it is at
+most MAX_NUMBER.
 """
 
 from __future__ import annotations
@@ -97,6 +101,9 @@ def arity(t: Term) -> tuple[int, int]:
     raise TypeError(f"not a term: {t!r}")
 
 
+MAX_TOKENS = 500
+MAX_NUMBER = 64
+
 _TOKEN = re.compile(r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<sym>[;*()\[\],])")
 
 
@@ -111,6 +118,9 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if not m:
             raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if len(tokens) == MAX_TOKENS:
+            raise TermSyntaxError(f"the word has more than {MAX_TOKENS} "
+                                  f"tokens", pos)
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), pos))
         pos = m.end()
@@ -141,7 +151,11 @@ class _Parser:
         kind, text, pos = self.next()
         if kind != "int":
             raise TermSyntaxError(f"expected a number, found {text or 'end of input'!r}", pos)
-        return int(text)
+        n = int(text)
+        if n > MAX_NUMBER:
+            raise TermSyntaxError(f"a number exceeds the limit {MAX_NUMBER}",
+                                  pos)
+        return n
 
     def term(self) -> Term:
         t = self.tens()
@@ -312,15 +326,10 @@ def format_cobordism(K: Cobordism) -> str:
     boundary circles are routed to their positions by words of adjacent
     transpositions, and closed pieces become ``eta ; ... ; eps``.
     """
-    comps = K.components
-    in_order = [i for c in comps for i in c.ingoing]
-    out_order = [j for c in comps for j in c.outgoing]
-    p_in = [0] * K.n_in
-    for slot, i in enumerate(in_order):
-        p_in[i] = slot
+    p_in, out_order = surface.routing(K)
     word = _perm_word(p_in) if K.n_in else None
     blocks: Optional[Term] = None
-    for c in comps:
+    for c in K.components:
         piece = _seq(_mu_tree(len(c.ingoing)),
                      _seq(_handle_word(c.genus), _delta_tree(len(c.outgoing))))
         if piece is None:

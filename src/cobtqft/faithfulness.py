@@ -29,9 +29,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import surface
-from .frobenius import FrobeniusAlgebra, faithful_algebra
 from .surface import BoundaryLabel, Cobordism, INGOING, OUTGOING
-from .tqft import closed_invariant, ensure_verified, evaluate
+from .tqft import closed_invariant, evaluate, load_algebra
 
 
 class GenusMultiset(NamedTuple):
@@ -73,12 +72,16 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# Trial division takes about 1 s on a prime near 2^48.
+ZSIGMONDY_LIMIT = 2 ** 48
+
+
 def zsigmondy_witness(a: int, b: int, n: int) -> int:
     """Least prime dividing a^n + b^n but no a^k + b^k with k < n.
 
-    Requires coprime a > b >= 1 and n >= 1; raises
-    :class:`ExceptionalTriple` for (n, a, b) = (3, 2, 1), the single
-    triple without such a prime.
+    Requires coprime a > b >= 1, n >= 1 and a^n + b^n < ZSIGMONDY_LIMIT;
+    raises :class:`ExceptionalTriple` for (n, a, b) = (3, 2, 1), the
+    single triple without such a prime.
     """
     if not (a > b >= 1):
         raise ValueError(f"need a > b >= 1, got a={a}, b={b}")
@@ -86,6 +89,10 @@ def zsigmondy_witness(a: int, b: int, n: int) -> int:
         raise ValueError(f"a={a} and b={b} are not coprime")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    # a >= 2, so n >= 48 already gives a^n >= 2^48
+    if n >= 48 or a ** n + b ** n >= ZSIGMONDY_LIMIT:
+        raise ValueError(f"{a}^{n} + {b}^{n} is at least 2^48, beyond "
+                         f"trial division")
     if (n, a, b) == (3, 2, 1):
         raise ExceptionalTriple(
             "2^3 + 1^3 = 9: every prime divisor already divides 2^1 + 1^1")
@@ -178,7 +185,7 @@ def _label_data(K: Cobordism) -> _LabelData:
     return _LabelData(
         labels, pairs, tuple(owner[x].genus for x in labels),
         tuple(owner[x] is owner[y] for x, y in pairs),
-        max([c.genus for c in K.components] + list(K.closed_genera) + [0]),
+        K.max_genus(),
         GenusMultiset(_fill_except(K, ()).closed_genera))
 
 
@@ -303,8 +310,7 @@ def enumerate_cobordisms(bounds: ScanBounds) -> tuple[Cobordism, ...]:
     genera = range(bounds.max_genus + 1)
     for n_in in range(bounds.max_circles + 1):
         for n_out in range(bounds.max_circles + 1):
-            labels = ([BoundaryLabel(i, INGOING) for i in range(n_in)]
-                      + [BoundaryLabel(j, OUTGOING) for j in range(n_out)])
+            labels, _ = _labels(n_in, n_out)
             block: list[Cobordism] = []
             for part in _set_partitions(labels):
                 for gs in itertools.product(genera, repeat=len(part)):
@@ -345,24 +351,21 @@ class ScanCertificate:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def faithfulness_scan(bounds: ScanBounds,
-                      algebra: Optional[FrobeniusAlgebra] = None,
-                      tag: str = "A") -> ScanCertificate:
+def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
+                      ) -> ScanCertificate:
     """Certify pairwise distinctness of all cobordisms within bounds.
 
-    With the default algebra, or any algebra with its structure matrices,
-    every equal-arity pair is checked by both the matrix route and the
-    separation route; for other algebras the scan runs the matrix route
-    only.  Arity classes are scanned in enumeration order and the first
-    collision is reported; cross-arity pairs differ by shape and are
-    counted without further work.
+    `algebra` is a selector for :func:`tqft.load_algebra` and labels the
+    certificate.  For an algebra with the structure matrices of the
+    table's ``A``, every equal-arity pair is checked by both the matrix
+    route and the separation route; for other algebras the scan runs the
+    matrix route only.  Arity classes are scanned in enumeration order
+    and the first collision is reported; cross-arity pairs differ by
+    shape and are counted without further work.
     """
-    if algebra is None:
-        algebra = faithful_algebra()
-        tag = "A"
-    ensure_verified(algebra)
-    reference = faithful_algebra()
-    cross_check = all(getattr(algebra, name) == getattr(reference, name)
+    a = load_algebra(algebra)
+    reference = load_algebra("A")
+    cross_check = all(getattr(a, name) == getattr(reference, name)
                       for name in ("mul", "unit", "comul", "counit"))
     every = enumerate_cobordisms(bounds)
     total = len(every)
@@ -372,22 +375,22 @@ def faithfulness_scan(bounds: ScanBounds,
         cobs = tuple(group)
         seen: dict = {}
         for idx, K in enumerate(cobs):
-            matrix_key = evaluate(algebra, K).matrix.key()
+            matrix_key = evaluate(a, K).matrix.key()
             # K differs by shape from everything in earlier classes
             pairs += before
             if matrix_key in seen:
-                return ScanCertificate(tag, bounds, total, pairs, "collision",
-                                       (seen[matrix_key], K))
+                return ScanCertificate(algebra, bounds, total, pairs,
+                                       "collision", (seen[matrix_key], K))
             pairs += idx  # K is now confirmed distinct from all before it
             seen[matrix_key] = K
         if cross_check:
             for K, L in itertools.combinations(cobs, 2):
                 ms_k, ms_l = separating_closure(K, L)
                 if multiset_invariant(ms_k) == multiset_invariant(ms_l):
-                    return ScanCertificate(tag, bounds, total, pairs,
+                    return ScanCertificate(algebra, bounds, total, pairs,
                                            "collision", (K, L))
         before += len(cobs)
     if pairs != total * (total - 1) // 2:
         raise RuntimeError(f"scan counted {pairs} pairs among {total} "
                            f"cobordisms, expected {total * (total - 1) // 2}")
-    return ScanCertificate(tag, bounds, total, pairs, "distinct")
+    return ScanCertificate(algebra, bounds, total, pairs, "distinct")

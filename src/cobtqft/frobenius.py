@@ -361,15 +361,3 @@ def faithful_algebra() -> FrobeniusAlgebra:
     """The 15-dimensional tensor product whose field theory is faithful."""
     return tensor_algebra(qz5(), zqs3())
 
-
-ALGEBRA_TAGS = ("qz5", "zqs3", "A")
-
-
-def algebra_by_tag(tag: str) -> FrobeniusAlgebra:
-    if tag == "qz5":
-        return qz5()
-    if tag == "zqs3":
-        return zqs3()
-    if tag == "A":
-        return faithful_algebra()
-    raise ValueError(f"unknown algebra tag {tag!r}; expected one of {ALGEBRA_TAGS}")

@@ -27,6 +27,19 @@ from typing import Iterable, NamedTuple, Sequence
 INGOING = 0
 OUTGOING = 1
 
+# The largest genus accepted from input (words, cobordism JSON and
+# `invariant --genus`): evaluating a genus-k piece multiplies k handle
+# operators, and its closed-form value holds 2^(2k-1).
+MAX_INPUT_GENUS = 64
+
+
+def check_input_genus(genus: int) -> int:
+    """`genus` itself, or ValueError when it exceeds MAX_INPUT_GENUS."""
+    if genus > MAX_INPUT_GENUS:
+        raise ValueError(f"genus {genus} exceeds the input limit "
+                         f"{MAX_INPUT_GENUS}")
+    return genus
+
 
 class BoundaryLabel(NamedTuple):
     index: int
@@ -64,6 +77,8 @@ class Cobordism:
 
     def __init__(self, n_in: int, n_out: int,
                  components: Iterable = (), closed_genera: Iterable[int] = ()):
+        if n_in < 0 or n_out < 0:
+            raise ValueError(f"negative arity {n_in} -> {n_out}")
         comps = tuple(sorted(
             (c if isinstance(c, Component) else component(*c) for c in components),
             key=lambda c: c.ingoing[0] if c.ingoing else n_in + c.outgoing[0]))
@@ -113,6 +128,11 @@ class Cobordism:
             parts.append(f"closed{list(self.closed_genera)}")
         return f"Cobordism({self.n_in}->{self.n_out}: {', '.join(parts) or 'empty'})"
 
+    def max_genus(self) -> int:
+        """The largest genus of any piece; 0 when there is none."""
+        return max([c.genus for c in self.components]
+                   + list(self.closed_genera) + [0])
+
     def euler_characteristic(self) -> int:
         chi = sum(2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
                   for c in self.components)
@@ -126,7 +146,8 @@ class Cobordism:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Cobordism":
-        """Parse the JSON form; a malformed field raises ValueError naming it."""
+        """Parse the JSON form; a malformed field, or a genus above
+        MAX_INPUT_GENUS, raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"a cobordism must be a JSON object, "
                              f"got {type(obj).__name__}")
@@ -135,14 +156,15 @@ class Cobordism:
                 and all(isinstance(c, dict) for c in comps)):
             raise ValueError("cobordism field 'components' must be a list "
                              "of JSON objects")
-        return cls(_json_int(obj.get("in"), "in"),
-                   _json_int(obj.get("out"), "out"),
-                   [component(_json_ints(c.get("in"), f"components[{n}].in"),
-                              _json_ints(c.get("out"), f"components[{n}].out"),
-                              _json_int(c.get("genus"),
-                                        f"components[{n}].genus"))
-                    for n, c in enumerate(comps)],
-                   _json_ints(obj.get("closed"), "closed"))
+        K = cls(_json_int(obj.get("in"), "in"),
+                _json_int(obj.get("out"), "out"),
+                [component(_json_ints(c.get("in"), f"components[{n}].in"),
+                           _json_ints(c.get("out"), f"components[{n}].out"),
+                           _json_int(c.get("genus"), f"components[{n}].genus"))
+                 for n, c in enumerate(comps)],
+                _json_ints(obj.get("closed"), "closed"))
+        check_input_genus(K.max_genus())
+        return K
 
 
 def _json_int(value, field: str) -> int:
@@ -248,6 +270,21 @@ def tensor(first: Cobordism, second: Cobordism) -> Cobordism:
                                c.genus))
     return Cobordism(first.n_in + second.n_in, first.n_out + second.n_out,
                      comps, first.closed_genera + second.closed_genera)
+
+
+def routing(K: Cobordism) -> tuple[list[int], list[int]]:
+    """How the components, taken in order, meet the boundary circles.
+
+    Listing every component's ingoing circles in turn puts ingoing
+    circle i at slot ``p_in[i]``; listing their outgoing circles the
+    same way gives ``out_order``.  Both are sorted exactly when the
+    circles already come in component order.
+    """
+    in_order = [i for c in K.components for i in c.ingoing]
+    p_in = [0] * K.n_in
+    for slot, i in enumerate(in_order):
+        p_in[i] = slot
+    return p_in, [j for c in K.components for j in c.outgoing]
 
 
 def rho(K: Cobordism) -> tuple[tuple[BoundaryLabel, ...], ...]:

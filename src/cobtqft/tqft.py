@@ -7,11 +7,13 @@ multiplication tree, components combine by Kronecker product, and
 permutation matrices route the boundary circles to their positions.
 Closed components contribute the scalar counit∘handle^g∘unit each.
 
-Closed-form cross-checks for the three named algebras live here too:
-the handle-power matrix of the center of the symmetric-group algebra
-and the closed-surface invariants, including
-``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for the faithful 15-dimensional
-algebra.
+The table ``ALGEBRAS`` names the three algebras the command line knows
+(``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
+of the closed genus-k surface, ``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for
+the faithful 15-dimensional algebra ``A``; ``load_algebra`` resolves a
+table name or ``file:<path>`` to a verified algebra.  The closed-form
+handle power of the center of the symmetric-group algebra lives here
+too.
 
 Evaluation is pure, so the building blocks are memoized per algebra
 with ``functools.lru_cache``; algebras hash by identity.
@@ -19,13 +21,16 @@ with ``functools.lru_cache``; algebras hash by identity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .exact import RationalMatrix, kron, mat_mul, perm_matrix
-from .frobenius import AxiomReport, FrobeniusAlgebra, verify_frobenius
-from .surface import Cobordism
+from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
+                        verify_frobenius, zqs3)
+from .surface import Cobordism, routing
 
 
 class AxiomFailure(ValueError):
@@ -113,11 +118,7 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     for c in K.components:
         matrix = kron(matrix, component_matrix(
             a, len(c.outgoing), c.genus, len(c.ingoing)))
-    in_order = [i for c in K.components for i in c.ingoing]
-    out_order = [j for c in K.components for j in c.outgoing]
-    p_in = [0] * K.n_in
-    for slot, i in enumerate(in_order):
-        p_in[i] = slot
+    p_in, out_order = routing(K)
     if p_in != sorted(p_in):
         matrix = mat_mul(matrix, _routing(a, tuple(p_in)))
     if out_order != sorted(out_order):
@@ -153,19 +154,44 @@ def zqs3_handle_power(k: int) -> RationalMatrix:
     ])
 
 
-def closed_invariant(tag: str, k: int) -> Fraction:
-    """Closed-form value of the closed genus-k surface for a named algebra.
+def _zqs3_closed(k: int) -> Fraction:
+    return Fraction(3, 2) ** (k - 1) * (Fraction(2) ** (2 * k - 1) + 1)
 
-    At k = 0 each formula evaluates to counit∘unit (5, 1 and 5
-    respectively), so one expression covers all genera.
-    """
+
+class NamedAlgebra(NamedTuple):
+    build: Callable[[], FrobeniusAlgebra]
+    closed_form: Callable[[int], Fraction]  # the closed genus-k surface
+
+
+# At k = 0 each closed form evaluates to counit∘unit (5, 1 and 5), so one
+# expression covers all genera.
+ALGEBRAS = {
+    "qz5": NamedAlgebra(qz5, lambda k: Fraction(5)),
+    "zqs3": NamedAlgebra(zqs3, _zqs3_closed),
+    "A": NamedAlgebra(faithful_algebra, lambda k: 5 * _zqs3_closed(k)),
+}
+
+
+def load_algebra(selector: str) -> FrobeniusAlgebra:
+    """Resolve a table name or ``file:<path>`` to a verified algebra."""
+    if selector in ALGEBRAS:
+        algebra = ALGEBRAS[selector].build()
+    elif selector.startswith("file:"):
+        with open(selector[5:]) as fh:
+            algebra = FrobeniusAlgebra.from_json_obj(json.load(fh))
+    else:
+        raise ValueError(f"unknown algebra {selector!r}: expected one of "
+                         f"{', '.join(ALGEBRAS)} or file:<path>")
+    ensure_verified(algebra)
+    return algebra
+
+
+def closed_invariant(name: str, k: int) -> Fraction:
+    """Closed-form value of the closed genus-k surface for a table algebra."""
+    if name not in ALGEBRAS:
+        raise ValueError(f"the closed form is only available for "
+                         f"{', '.join(ALGEBRAS)}; use `eval --term` with a "
+                         f"closed word for other algebras")
     if k < 0:
         raise ValueError(f"no closed surface has genus {k}")
-    if tag == "qz5":
-        return Fraction(5)
-    base = Fraction(3, 2) ** (k - 1) * (Fraction(2) ** (2 * k - 1) + 1)
-    if tag == "zqs3":
-        return base
-    if tag == "A":
-        return 5 * base
-    raise ValueError(f"unknown algebra tag {tag!r}; expected qz5, zqs3 or A")
+    return ALGEBRAS[name].closed_form(k)

@@ -18,16 +18,16 @@ from cobtqft.faithfulness import (ExceptionalTriple, ScanBounds,
                                   enumerate_cobordisms, faithfulness_scan,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
-from cobtqft.frobenius import (algebra_by_tag, faithful_algebra,
-                               pairing_copairing, qz5, verify_frobenius,
-                               zqs3)
+from cobtqft.frobenius import (faithful_algebra, pairing_copairing, qz5,
+                               verify_frobenius, zqs3)
 from cobtqft.golden import (QZ5_COMUL, QZ5_COUNIT, QZ5_MUL, QZ5_UNIT,
                             ZQS3_COMUL, ZQS3_COPAIRING, ZQS3_COUNIT,
                             ZQS3_MUL, ZQS3_PAIRING, ZQS3_UNIT, golden_report)
 from cobtqft.surface import (Cobordism, closure, compose, e_block, identity,
                              stretch1, stretch1_dual, stretch2,
                              stretch2_dual, tensor)
-from cobtqft.tqft import closed_invariant, evaluate, zqs3_handle_power
+from cobtqft.tqft import (closed_invariant, evaluate, load_algebra,
+                         zqs3_handle_power)
 
 SCAN_BOUNDS = ScanBounds(max_circles=2, max_genus=2, max_closed=1,
                          max_closed_genus=3)
@@ -71,7 +71,7 @@ def test_criterion_01_golden_reproduction():
 def test_criterion_02_axiom_suite():
     with timer() as t:
         for tag in ("qz5", "zqs3", "A"):
-            rep = verify_frobenius(algebra_by_tag(tag))
+            rep = verify_frobenius(load_algebra(tag))
             assert rep.all_pass, (tag, rep.failures)
     assert t.seconds < 5.0
     report(2, "all Frobenius axioms hold exactly for qz5, zqs3 and A",
@@ -251,7 +251,7 @@ def test_criterion_09_faithfulness_scan():
 
 def test_criterion_10_negative_control():
     with timer() as t:
-        cert = faithfulness_scan(SCAN_BOUNDS, algebra=qz5(), tag="qz5")
+        cert = faithfulness_scan(SCAN_BOUNDS, "qz5")
         assert cert.verdict == "collision"
         left, right = cert.collision
         assert left != right

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobtqft.cli import main
 from cobtqft.frobenius import zqs3
-from cobtqft.surface import e_block
+from cobtqft.surface import MAX_INPUT_GENUS, e_block
 
 
 def run(capsys, *argv):
@@ -183,3 +186,179 @@ def test_usage_error_exit_code():
 def test_unknown_algebra_selector(capsys):
     code, _, err = run(capsys, "verify", "--algebra", "nope")
     assert code == 2 and "unknown algebra" in err
+
+
+def test_eval_limits(capsys):
+    cases = [
+        ("zqs3", "E[1,1200,1]", "limit 64"),                 # number
+        ("zqs3", "E[1,60,2] ; E[2,60,1]", "genus 120"),      # genus
+        ("zqs3", " ; ".join(["id[1]"] * 991), "500 tokens"),
+        ("zqs3", "(" * 330 + "mu" + ")" * 330, "500 tokens"),
+        ("A", " * ".join(["eta"] * 7), "matrix entries"),    # 15^7 entries
+        ("zqs3", " * ".join(["eta"] * 15), "matrix entries"),
+    ]
+    for algebra, term, message in cases:
+        code, out, err = run(capsys, "eval", "--algebra", algebra,
+                             "--term", term)
+        assert code == 2 and out == "" and message in err, term[:40]
+        assert len(err.splitlines()) == 1
+    # at the limits: genus 64, and 15^6 entries under A
+    for algebra, term, arity in (("zqs3", "E[1,32,1] ; E[1,32,1]", (1, 1)),
+                                 ("A", " * ".join(["eta"] * 6), (0, 6))):
+        code, out, _ = run(capsys, "eval", "--algebra", algebra,
+                           "--term", term)
+        assert code == 0
+        assert (json.loads(out)["in"], json.loads(out)["out"]) == arity
+
+
+def test_genus_limit_of_invariant_and_separate(capsys, tmp_path):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(e_block(1, 65, 1).to_json_obj()))
+    right.write_text(json.dumps(e_block(1, 0, 1).to_json_obj()))
+    code, out, err = run(capsys, "separate", "--left", str(left),
+                         "--right", str(right))
+    assert code == 2 and out == "" and "genus 65" in err
+    assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "invariant", "--algebra", "zqs3",
+                       "--genus", "64")
+    assert code == 0 and out.strip().endswith("/9223372036854775808")
+    for genus in ("65", str(10 ** 9)):
+        code, out, err = run(capsys, "invariant", "--genus", genus)
+        assert code == 2 and out == "" and "exceeds the input limit" in err
+
+
+def test_zsigmondy_limit(capsys):
+    code, out, err = run(capsys, "zsigmondy", "--a", "2", "--b", "1",
+                         "--n", "61")
+    assert code == 2 and out == "" and "2^48" in err
+
+
+# --- property test: every input exits 0, 1 or 2, errors on one line -----
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1, err
+
+
+ATOMS = st.one_of(
+    st.sampled_from(["mu", "eta", "delta", "eps", "swap", "id", "E[1,1]",
+                     "nu", "id[65]", "E[1,70,1]"]),
+    st.builds("id[{}]".format, st.integers(0, 2)),
+    st.builds("E[{},{},{}]".format, st.integers(0, 2), st.integers(0, 40),
+              st.integers(0, 2)))
+TERMS = st.recursive(ATOMS, lambda t: st.one_of(
+    st.builds("{} ; {}".format, t, t), st.builds("{} * {}".format, t, t),
+    st.builds("({})".format, t)), max_leaves=3)
+TERM_TEXT = st.one_of(TERMS, st.text("mutaeldsiwpE[],;*() 0123456789@",
+                                     max_size=30))
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=2))
+
+
+# mostly small, sometimes at or just above the genus limit
+GENERA = st.integers(0, 19).map(lambda g: {18: 64, 19: 65}.get(g, g))
+
+
+@st.composite
+def cobordism_json(draw, n_in, n_out):
+    labels = [("in", i) for i in range(n_in)] + [("out", j)
+                                                  for j in range(n_out)]
+    blocks = draw(st.lists(st.integers(0, 3), min_size=len(labels),
+                           max_size=len(labels)))
+    components = [{"in": [i for (side, i), b in zip(labels, blocks)
+                          if side == "in" and b == block],
+                   "out": [j for (side, j), b in zip(labels, blocks)
+                           if side == "out" and b == block],
+                   "genus": draw(GENERA)}
+                  for block in sorted(set(blocks))]
+    obj = {"in": n_in, "out": n_out, "components": components,
+           "closed": draw(st.lists(GENERA, max_size=2))}
+    if draw(st.integers(0, 3)) == 0:  # break one field, or a component's
+        target = obj
+        if components and draw(st.booleans()):
+            target = draw(st.sampled_from(components))
+        target[draw(st.sampled_from(sorted(target)))] = draw(JUNK)
+    return obj
+
+
+@st.composite
+def cobordism_pair(draw):
+    arities = [draw(st.integers(0, 2)) for _ in range(2)]
+    if draw(st.integers(0, 3)) == 0:  # different arities
+        return (draw(cobordism_json(*arities)),
+                draw(cobordism_json(*reversed(arities))))
+    return draw(cobordism_json(*arities)), draw(cobordism_json(*arities))
+
+
+RATIONALS = st.one_of(st.integers(-3, 3).map(str),
+                      st.builds("{}/{}".format, st.integers(-3, 3),
+                                st.integers(1, 3)))
+
+
+@st.composite
+def algebra_json(draw):
+    if draw(st.booleans()):
+        obj = zqs3().to_json_obj()
+    else:
+        d = draw(st.integers(0, 4))
+        obj = {"dim": d}
+        for field, (rows, cols) in (("mul", (d, d * d)), ("unit", (d, 1)),
+                                    ("comul", (d * d, d)),
+                                    ("counit", (1, d))):
+            cells = st.tuples(st.integers(0, max(rows - 1, 0)),
+                              st.integers(0, max(cols - 1, 0)), RATIONALS)
+            obj[field] = {"rows": rows, "cols": cols,
+                          "entries": [list(c) for c in draw(
+                              st.lists(cells, max_size=6))]}
+    if draw(st.booleans()):  # break one field, or one matrix field
+        target = obj
+        if draw(st.booleans()):
+            target = obj[draw(st.sampled_from(["mul", "unit", "comul",
+                                               "counit"]))]
+        target[draw(st.sampled_from(sorted(target)))] = draw(JUNK)
+    return obj
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(TERM_TEXT)
+def test_fuzz_eval_terms(term):
+    assert_clean_exit(*run_quietly(["eval", "--algebra", "zqs3",
+                                    "--term", term]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cobordism_pair())
+def test_fuzz_separate_json(tmp_path_factory, pair):
+    left, right = pair
+    folder = tmp_path_factory.mktemp("separate")
+    paths = []
+    for name, obj in (("left", left), ("right", right)):
+        paths.append(folder / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    code, err = run_quietly(["separate", "--left", str(paths[0]),
+                             "--right", str(paths[1])])
+    assert_clean_exit(code, err)
+    if code == 0:  # both files were within the genus limit
+        assert all(c["genus"] <= MAX_INPUT_GENUS
+                   for obj in (left, right) for c in obj["components"])
+        assert max(left["closed"] + right["closed"] + [0]) <= MAX_INPUT_GENUS
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(algebra_json())
+def test_fuzz_verify_file_algebras(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("verify") / "algebra.json"
+    path.write_text(json.dumps(obj))
+    assert_clean_exit(*run_quietly(["verify", "--algebra", f"file:{path}"]))

@@ -1,8 +1,8 @@
 import pytest
 
-from cobtqft.diagram import (Comp, Gen, Tens, TermArityError, TermSyntaxError,
-                             arity, elaborate, format_cobordism, parse,
-                             print_term)
+from cobtqft.diagram import (MAX_NUMBER, MAX_TOKENS, Comp, Gen, Tens,
+                             TermArityError, TermSyntaxError, arity,
+                             elaborate, format_cobordism, parse, print_term)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import Cobordism, component, e_block, identity, permutation
 
@@ -120,3 +120,31 @@ def test_format_round_trip_routing_heavy():
     ]
     for K in cases:
         assert elaborate(parse(format_cobordism(K))) == K
+
+
+def test_token_limit():
+    # n compositions of id[1] take 5n - 1 tokens
+    n = (MAX_TOKENS + 1) // 5
+    at_limit = " ; ".join(["id[1]"] * n)
+    assert elaborate(parse(at_limit)) == identity(1)
+    with pytest.raises(TermSyntaxError, match=f"more than {MAX_TOKENS}"):
+        parse(at_limit + " ; eps")
+    # beyond the limit, long and deep words fail as syntax errors, not by
+    # exhausting the interpreter's stack
+    for word in (" ; ".join(["id[1]"] * 992),
+                 "(" * 330 + "mu" + ")" * 330):
+        with pytest.raises(TermSyntaxError, match="tokens"):
+            parse(word)
+    depth = (MAX_TOKENS - 1) // 2
+    nested = "(" * depth + "delta" + ")" * depth
+    assert elaborate(parse(nested)) == e_block(2, 0, 1)
+
+
+def test_number_limit():
+    assert elaborate(parse(f"E[1,{MAX_NUMBER},{MAX_NUMBER}]")) \
+        == e_block(1, MAX_NUMBER, MAX_NUMBER)
+    for word in ("id[65]", "E[1,1200,1]", "id[" + "9" * 30 + "]"):
+        with pytest.raises(TermSyntaxError, match=f"limit {MAX_NUMBER}") \
+                as err:
+            parse(word)
+        assert err.value.position is not None

@@ -10,11 +10,12 @@ from cobtqft.faithfulness import (ExceptionalTriple, GenusMultiset,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
-from cobtqft.frobenius import FrobeniusAlgebra, faithful_algebra, qz5
+from cobtqft.frobenius import faithful_algebra, qz5
 from cobtqft import surface
 from cobtqft.surface import (INGOING, OUTGOING, BoundaryLabel, Cobordism,
                              component, e_block, identity, permutation,
                              tensor)
+from cobtqft.tqft import load_algebra
 
 
 def test_zsigmondy_exceptional_triple():
@@ -36,6 +37,15 @@ def test_zsigmondy_preconditions():
         zsigmondy_witness(1, 1, 2)
     with pytest.raises(ValueError, match="n >= 1"):
         zsigmondy_witness(2, 1, 0)
+
+
+def test_zsigmondy_limit():
+    # 2^47 + 1 = 3 * 283 * 165768537521 is below the limit 2^48
+    assert zsigmondy_witness(2, 1, 47) == 283
+    for a, b, n in ((2, 1, 48), (2, 1, 61), (3, 2, 31), (2 ** 24, 1, 2),
+                    (2, 1, 10 ** 9)):
+        with pytest.raises(ValueError, match="2\\^48"):
+            zsigmondy_witness(a, b, n)
 
 
 def test_zsigmondy_witnesses_for_odd_handle_exponents():
@@ -263,7 +273,7 @@ def test_scan_small_bounds_distinct():
 def test_scan_negative_control_qz5_finds_collision():
     bounds = ScanBounds(max_circles=1, max_genus=1, max_closed=1,
                         max_closed_genus=1)
-    cert = faithfulness_scan(bounds, algebra=qz5(), tag="qz5")
+    cert = faithfulness_scan(bounds, "qz5")
     assert cert.verdict == "collision"
     left, right = cert.collision
     assert left != right
@@ -281,10 +291,11 @@ def test_scan_rejects_oversized_bounds():
 
 
 def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
-        monkeypatch):
+        monkeypatch, tmp_path):
     from cobtqft import faithfulness
-    copy = FrobeniusAlgebra.from_json_obj(faithful_algebra().to_json_obj())
-    assert copy is not faithful_algebra()
+    path = tmp_path / "A.json"
+    path.write_text(faithful_algebra().to_json())
+    assert load_algebra(f"file:{path}") is not faithful_algebra()
     calls = []
     original = faithfulness.separating_closure
 
@@ -295,8 +306,8 @@ def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
     monkeypatch.setattr(faithfulness, "separating_closure", counting)
     bounds = ScanBounds(max_circles=1, max_genus=1, max_closed=1,
                         max_closed_genus=1)
-    cert = faithfulness_scan(bounds, algebra=copy, tag="file:A.json")
-    assert cert.distinct
+    cert = faithfulness_scan(bounds, f"file:{path}")
+    assert cert.distinct and cert.algebra == f"file:{path}"
     sizes = collections.Counter(
         (K.n_in, K.n_out) for K in enumerate_cobordisms(bounds))
     assert len(calls) == sum(n * (n - 1) // 2 for n in sizes.values()) > 0

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from cobtqft.exact import RationalMatrix, kron, mat_mul
-from cobtqft.frobenius import (FiniteGroup, FrobeniusAlgebra, algebra_by_tag,
+from cobtqft.frobenius import (FiniteGroup, FrobeniusAlgebra,
                                center_of_group_algebra, faithful_algebra,
                                group_algebra, pairing_copairing, qz5,
                                tensor_algebra, verify_frobenius, zqs3)
 from cobtqft.golden import (QZ5_COMUL, QZ5_COUNIT, QZ5_MUL, QZ5_UNIT,
                             ZQS3_COMUL, ZQS3_COPAIRING, ZQS3_COUNIT,
                             ZQS3_MUL, ZQS3_PAIRING, ZQS3_UNIT)
+from cobtqft.tqft import load_algebra
 
 
 def test_group_validation():
@@ -139,7 +140,7 @@ def test_tensor_with_trivial_algebra_is_identity():
 
 def test_axioms_pass_for_all_three_algebras():
     for tag in ("qz5", "zqs3", "A"):
-        report = verify_frobenius(algebra_by_tag(tag))
+        report = verify_frobenius(load_algebra(tag))
         assert report.all_pass, (tag, report.failures)
         assert len(report.results) == 9
 

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
-from cobtqft.surface import (BoundaryLabel, Cobordism, closure, component,
-                             compose, e_block, fill_hole, identity,
-                             permutation, rho, stretch1, stretch1_dual,
-                             stretch2, stretch2_dual, tensor)
+from cobtqft.surface import (MAX_INPUT_GENUS, BoundaryLabel, Cobordism,
+                             closure, component, compose, e_block, fill_hole,
+                             identity, permutation, rho, routing, stretch1,
+                             stretch1_dual, stretch2, stretch2_dual, tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
@@ -217,3 +217,33 @@ def test_json_round_trip():
     K = Cobordism(2, 1, [component((0,), (0,), 1), component((1,), (), 0)],
                   (2,))
     assert Cobordism.from_json_obj(K.to_json_obj()) == K
+
+
+def test_negative_arity_is_rejected():
+    with pytest.raises(ValueError, match="negative arity"):
+        Cobordism(-1, 0)
+    obj = e_block(0, 1, 0).to_json_obj()
+    obj["in"] = -1
+    with pytest.raises(ValueError, match="negative arity"):
+        Cobordism.from_json_obj(obj)
+
+
+def test_json_genus_limit():
+    for limit_ok in (e_block(1, MAX_INPUT_GENUS, 1),
+                     e_block(0, MAX_INPUT_GENUS, 0)):
+        assert Cobordism.from_json_obj(limit_ok.to_json_obj()) == limit_ok
+    for too_big in (e_block(1, MAX_INPUT_GENUS + 1, 1),
+                    e_block(0, 10 ** 9, 0)):
+        with pytest.raises(ValueError, match="exceeds the input limit"):
+            Cobordism.from_json_obj(too_big.to_json_obj())
+
+
+def test_routing_lists_circles_in_component_order():
+    # components in order: {in 0, out 2}, {in 1, out 0}, {in 2, out 1}
+    K = Cobordism(3, 3, [component((0,), (2,), 0), component((1,), (0,), 0),
+                         component((2,), (1,), 0)])
+    assert routing(K) == ([0, 1, 2], [2, 0, 1])
+    # ingoing circle 2 shares the first component, so it takes slot 1
+    L = Cobordism(3, 1, [component((0, 2), (0,), 0), component((1,), (), 0)])
+    assert routing(L) == ([0, 2, 1], [0])
+    assert routing(identity(2)) == ([0, 1], [0, 1])

@@ -9,9 +9,9 @@ from cobtqft.frobenius import (FrobeniusAlgebra, faithful_algebra, qz5,
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block, identity,
                              permutation, tensor)
-from cobtqft.tqft import (AxiomFailure, closed_invariant, evaluate,
+from cobtqft.tqft import (ALGEBRAS, AxiomFailure, closed_invariant, evaluate,
                           handle_power, iterated_comul, iterated_mul,
-                          zqs3_handle_power)
+                          load_algebra, zqs3_handle_power)
 
 E111_ZQS3 = RationalMatrix.from_rows([[3, 0, 3], [0, 6, 0],
                                       [F(3, 2), 0, F(9, 2)]])
@@ -208,3 +208,24 @@ def test_context_functoriality_covers_stretches_and_closure():
                   mat_mul(evaluate(A, M).matrix,
                           evaluate(A, e_block(1, 3, 0)).matrix))
     assert lhs == rhs
+
+
+def test_algebra_table_closed_forms_match_evaluation():
+    assert list(ALGEBRAS) == ["qz5", "zqs3", "A"]
+    for name, entry in ALGEBRAS.items():
+        algebra = load_algebra(name)
+        assert algebra is entry.build()
+        for k in range(6):
+            assert closed_invariant(name, k) \
+                == evaluate(algebra, e_block(0, k, 0)).matrix.get(0, 0)
+
+
+def test_load_algebra_selectors(tmp_path):
+    path = tmp_path / "zqs3.json"
+    path.write_text(zqs3().to_json())
+    loaded = load_algebra(f"file:{path}")
+    assert loaded is not zqs3() and loaded.mul == zqs3().mul
+    with pytest.raises(ValueError, match="unknown algebra 'B'"):
+        load_algebra("B")
+    with pytest.raises(ValueError, match="closed form is only available"):
+        closed_invariant(f"file:{path}", 1)
