@@ -6,10 +6,12 @@ cobordisms receive pairwise-distinct matrices under the faithful
 independent routes:
 
 * the matrix route evaluates both cobordisms and compares exactly;
-* the separation route drives both through the same closing context
-  (fill all holes except a separating one or two, stretch to a 1 -> 1
-  shape, then close off) and compares the closed-surface genus
-  multisets and their invariant products.
+* the separation route drives both through the same closing context,
+  one cobordism that caps every boundary circle with a disk, and
+  compares the closed-surface genus multisets and their invariant
+  products.  Only the cap genera depend on the pair (see
+  :func:`separating_closure`); they glue the paper's fill, stretch and
+  close-off moves into one context.
 
 The invariant product separates genus multisets because each closed
 genus-k surface contributes 5·(3/2)^(k-1)·(2^(2k-1)+1): the power of 5
@@ -155,22 +157,20 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 
 @lru_cache(maxsize=None)
 def _labels(n_in: int, n_out: int):
-    """The boundary labels, ingoing first, and their pairs in
-    `itertools.combinations` order."""
+    """The boundary labels, ingoing first, and the index pairs of labels
+    in `itertools.combinations` order."""
     labels = (tuple(BoundaryLabel(i, INGOING) for i in range(n_in))
               + tuple(BoundaryLabel(j, OUTGOING) for j in range(n_out)))
-    return labels, tuple(itertools.combinations(labels, 2))
+    return labels, tuple(itertools.combinations(range(len(labels)), 2))
 
 
 class _LabelData(NamedTuple):
     """What the separation needs to know about one cobordism."""
 
-    labels: tuple[BoundaryLabel, ...]
-    pairs: tuple[tuple[BoundaryLabel, BoundaryLabel], ...]
+    pairs: tuple[tuple[int, int], ...]  # label index pairs
     genera: tuple[int, ...]  # genus of each label's component
     same: tuple[bool, ...]   # per pair: do both labels share a component?
     max_genus: int
-    filled: GenusMultiset    # closed genera once every hole is filled
 
 
 @lru_cache(maxsize=None)
@@ -182,37 +182,22 @@ def _label_data(K: Cobordism) -> _LabelData:
     for c in K.components:
         owner.update((BoundaryLabel(i, INGOING), c) for i in c.ingoing)
         owner.update((BoundaryLabel(j, OUTGOING), c) for j in c.outgoing)
-    return _LabelData(
-        labels, pairs, tuple(owner[x].genus for x in labels),
-        tuple(owner[x] is owner[y] for x, y in pairs),
-        K.max_genus(),
-        GenusMultiset(_fill_except(K, ()).closed_genera))
-
-
-def _fill_except(K: Cobordism, kept: tuple) -> Cobordism:
-    """Cap every boundary circle not in `kept`, ingoing first, ascending."""
-    for side, arity in ((INGOING, K.n_in), (OUTGOING, K.n_out)):
-        filled = 0
-        for i in range(arity):
-            if BoundaryLabel(i, side) not in kept:
-                K = surface.fill_hole(K, BoundaryLabel(i - filled, side))
-                filled += 1
-    return K
-
-
-# the move that stretches a cobordism with one or two holes left to 1 -> 1
-_STRETCH = {(1, 0): surface.stretch1, (0, 1): surface.stretch1_dual,
-            (2, 0): surface.stretch2, (0, 2): surface.stretch2_dual}
+    owners = [owner[x] for x in labels]
+    return _LabelData(pairs, tuple(c.genus for c in owners),
+                      tuple(owners[x] is owners[y] for x, y in pairs),
+                      K.max_genus())
 
 
 @lru_cache(maxsize=None)
-def _closing_context(K: Cobordism, kept: tuple, a: int) -> GenusMultiset:
-    """Fill every hole of K but `kept`, stretch to a loop, close off with
-    genus-a caps, and return the closed genera."""
-    loop = _fill_except(K, kept)
-    if (loop.n_in, loop.n_out) != (1, 1):
-        loop = _STRETCH[loop.n_in, loop.n_out](loop)
-    return GenusMultiset(surface.closure(loop, a).closed_genera)
+def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
+    """Cap every boundary circle of K, the i-th label (ingoing first)
+    with a disk of genus ``caps[i]``, and return the closed genera."""
+    below = Cobordism(0, K.n_in, [surface.component((), (i,), g)
+                                  for i, g in enumerate(caps[:K.n_in])])
+    above = Cobordism(K.n_out, 0, [surface.component((j,), (), g)
+                                   for j, g in enumerate(caps[K.n_in:])])
+    return GenusMultiset(
+        surface.compose(surface.compose(below, K), above).closed_genera)
 
 
 def _first_difference(xs: tuple, ys: tuple) -> int:
@@ -227,15 +212,27 @@ def separating_closure(K: Cobordism, L: Cobordism
     """Drive two distinct equal-arity cobordisms through one closing
     context, producing distinct closed genus multisets.
 
-    Case analysis on how K and L differ: if their boundary partitions
-    and all per-label genera agree, filling every hole already exposes
-    differing closed multisets.  If some label's genus differs, keep
-    that hole, fill the rest, stretch to a loop and close off.  If the
-    partitions differ, keep a pair of labels related in exactly one of
-    the two, fill the rest, stretch (same context on both sides) and
-    close off.  The closing genus exceeds every genus present, so the
-    resulting multisets always differ.  The first differing label, or
-    label pair, is the one kept.
+    The context caps every boundary circle with a disk; only the cap
+    genera depend on how K and L differ.  Let ``a`` be one more than
+    every genus in K and L: a piece that meets no cap of genus a or 2a
+    stays below genus a.
+
+    (a) Equal boundary partitions and per-label genera: every cap has
+        genus 0, and the closed parts, which differ, stay apart.
+    (b) Some label's genus differs: the first such label gets a cap of
+        genus 2a, the rest genus 0.  The one closed piece of genus at
+        least 2a has the label's genus plus 2a, which differs.
+    (c) The partitions differ: the first label pair on one component
+        in exactly one of the two gets caps of genus a on both circles.
+        That cobordism gets one piece of genus at least 2a, the other
+        two of genus between a and 2a - 1.
+
+    This is the paper's context (``surface.fill_hole`` on the other
+    circles, a stretch, ``surface.closure`` with two genus-a caps)
+    collapsed into one cobordism.  In (b) the stretch's comultiplication
+    sends the kept circle into both genus-a caps: one disk of genus 2a.
+    In (c) the stretch's cup, if any, only routes the second circle to
+    the second cap.
     """
     if (K.n_in, K.n_out) != (L.n_in, L.n_out):
         raise ValueError(f"arity mismatch: {K.n_in}->{K.n_out} vs "
@@ -243,21 +240,16 @@ def separating_closure(K: Cobordism, L: Cobordism
     if K == L:
         raise ValueError("the cobordisms are equal; nothing separates them")
     dk, dl = _label_data(K), _label_data(L)
-    if dk.same == dl.same:
-        if dk.genera == dl.genera:
-            # only the closed parts differ: fill everything
-            if dk.filled == dl.filled:
-                raise RuntimeError(f"filling every hole leaves equal closed "
-                                   f"genera {dk.filled.genera} for {K!r} "
-                                   f"and {L!r}")
-            return dk.filled, dl.filled
-        kept = (dk.labels[_first_difference(dk.genera, dl.genera)],)
-    else:
-        kept = dk.pairs[_first_difference(dk.same, dl.same)]
-
     a = 1 + max(dk.max_genus, dl.max_genus)
-    ms_k = _closing_context(K, kept, a)
-    ms_l = _closing_context(L, kept, a)
+    caps = [0] * len(dk.genera)
+    if dk.same != dl.same:
+        for x in dk.pairs[_first_difference(dk.same, dl.same)]:
+            caps[x] = a
+    elif dk.genera != dl.genera:
+        caps[_first_difference(dk.genera, dl.genera)] = 2 * a
+    caps = tuple(caps)
+    ms_k = _closing_context(K, caps)
+    ms_l = _closing_context(L, caps)
     if ms_k == ms_l:
         raise RuntimeError(f"the closing context leaves equal closed genera "
                            f"{ms_k.genera} for {K!r} and {L!r}")
@@ -265,6 +257,10 @@ def separating_closure(K: Cobordism, L: Cobordism
 
 
 # --- enumeration and the scan ----------------------------------------------
+
+# The most cobordisms a scan enumerates; (2,3,2,4) has 22 197.
+MAX_SCAN_COBORDISMS = 25_000
+
 
 @dataclass(frozen=True)
 class ScanBounds:
@@ -279,6 +275,32 @@ class ScanBounds:
                 raise ValueError(f"scan bound {name} must be >= 0, got {value}")
         if self.max_circles > 3:
             raise ValueError("more than 3 circles per side outgrows desk scale")
+        # C(n, k) >= 2^k for n >= 2k: closed parts with more than 64
+        # pieces and genera alone pass the limit, and this test first
+        # keeps math.comb cheap on huge bounds
+        if (min(self.max_closed, self.max_closed_genus + 1) > 64
+                or self.cobordism_count() > MAX_SCAN_COBORDISMS):
+            raise ValueError(f"the scan bounds admit more than "
+                             f"{MAX_SCAN_COBORDISMS} cobordisms")
+
+    def cobordism_count(self) -> int:
+        """How many cobordisms the bounds admit, without enumerating them.
+
+        n boundary circles split into k components in S(n, k) ways (the
+        Stirling numbers of the second kind), each with max_genus + 1
+        genera; the sums t[n] = Σ_k S(n, k)·x^k obey the Touchard
+        recurrence t[n+1] = x·Σ_i C(n, i)·t[i].  The closed multisets
+        number C(max_closed_genus + 1 + max_closed, max_closed).
+        """
+        x = self.max_genus + 1
+        t = [1]
+        for n in range(2 * self.max_circles):
+            t.append(x * sum(math.comb(n, i) * ti for i, ti in enumerate(t)))
+        boundary = sum(t[n_in + n_out]
+                       for n_in in range(self.max_circles + 1)
+                       for n_out in range(self.max_circles + 1))
+        return boundary * math.comb(
+            self.max_closed_genus + 1 + self.max_closed, self.max_closed)
 
     def to_json_obj(self) -> dict:
         return {"max_circles": self.max_circles, "max_genus": self.max_genus,

@@ -32,6 +32,10 @@ OUTGOING = 1
 # operators, and its closed-form value holds 2^(2k-1).
 MAX_INPUT_GENUS = 64
 
+# The most boundary circles per side a cobordism JSON file may have: the
+# separation route keeps one flag per pair of circles.
+MAX_INPUT_CIRCLES = 64
+
 
 def check_input_genus(genus: int) -> int:
     """`genus` itself, or ValueError when it exceeds MAX_INPUT_GENUS."""
@@ -146,8 +150,9 @@ class Cobordism:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Cobordism":
-        """Parse the JSON form; a malformed field, or a genus above
-        MAX_INPUT_GENUS, raises ValueError naming it."""
+        """Parse the JSON form; a malformed field, a genus above
+        MAX_INPUT_GENUS or more than MAX_INPUT_CIRCLES circles on a side
+        raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"a cobordism must be a JSON object, "
                              f"got {type(obj).__name__}")
@@ -156,8 +161,12 @@ class Cobordism:
                 and all(isinstance(c, dict) for c in comps)):
             raise ValueError("cobordism field 'components' must be a list "
                              "of JSON objects")
-        K = cls(_json_int(obj.get("in"), "in"),
-                _json_int(obj.get("out"), "out"),
+        n_in, n_out = (_json_int(obj.get(f), f) for f in ("in", "out"))
+        if max(n_in, n_out) > MAX_INPUT_CIRCLES:
+            raise ValueError(f"a {n_in} -> {n_out} cobordism exceeds the "
+                             f"input limit of {MAX_INPUT_CIRCLES} circles "
+                             f"per side")
+        K = cls(n_in, n_out,
                 [component(_json_ints(c.get("in"), f"components[{n}].in"),
                            _json_ints(c.get("out"), f"components[{n}].out"),
                            _json_int(c.get("genus"), f"components[{n}].genus"))

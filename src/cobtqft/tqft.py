@@ -101,12 +101,6 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
 
 
 @lru_cache(maxsize=None)
-def closed_scalar(a: FrobeniusAlgebra, g: int) -> Fraction:
-    """counit ∘ handle^g ∘ unit, the value of the closed genus-g surface."""
-    return mat_mul(a.counit, mat_mul(handle_power(a, g), a.unit)).get(0, 0)
-
-
-@lru_cache(maxsize=None)
 def _routing(a: FrobeniusAlgebra, p: tuple[int, ...]) -> RationalMatrix:
     return perm_matrix(p, a.dim)
 
@@ -125,7 +119,8 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
         matrix = mat_mul(_routing(a, tuple(out_order)), matrix)
     scalar = Fraction(1)
     for g in K.closed_genera:
-        scalar *= closed_scalar(a, g)
+        # the 0 -> 0 block is counit ∘ handle^g ∘ unit, a 1 x 1 matrix
+        scalar *= component_matrix(a, 0, g, 0).get(0, 0)
     if scalar != 1:
         matrix = matrix.scale(scalar)
     if matrix.shape != (a.dim ** K.n_out, a.dim ** K.n_in):

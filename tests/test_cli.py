@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobtqft.cli import main
-from cobtqft.frobenius import zqs3
-from cobtqft.surface import MAX_INPUT_GENUS, e_block
+from cobtqft.frobenius import MAX_INPUT_DIM, zqs3
+from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, e_block,
+                             identity, tensor)
 
 
 def run(capsys, *argv):
@@ -226,6 +227,39 @@ def test_genus_limit_of_invariant_and_separate(capsys, tmp_path):
     for genus in ("65", str(10 ** 9)):
         code, out, err = run(capsys, "invariant", "--genus", genus)
         assert code == 2 and out == "" and "exceeds the input limit" in err
+
+
+def test_separate_circle_limit(capsys, tmp_path):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    for n, code_wanted in ((MAX_INPUT_CIRCLES, 0), (MAX_INPUT_CIRCLES + 1, 2)):
+        left.write_text(json.dumps(identity(n).to_json_obj()))
+        right.write_text(json.dumps(
+            tensor(identity(n), e_block(0, 0, 0)).to_json_obj()))
+        code, out, err = run(capsys, "separate", "--left", str(left),
+                             "--right", str(right))
+        assert code == code_wanted
+        if code == 0:
+            assert json.loads(out)["right"]["genera"] == [0] * (n + 1)
+        else:
+            assert out == "" and len(err.splitlines()) == 1
+            assert "64 circles per side" in err
+
+
+def test_file_algebra_dim_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    obj = zqs3().to_json_obj()
+    obj["dim"] = MAX_INPUT_DIM + 1
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--algebra", f"file:{path}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "dimension 21" in err
+
+
+def test_scan_refuses_oversized_enumeration(capsys):
+    code, out, err = run(capsys, "scan", "--max-closed", "100")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "more than 25000" in err
 
 
 def test_zsigmondy_limit(capsys):

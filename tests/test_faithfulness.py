@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from cobtqft.faithfulness import (ExceptionalTriple, GenusMultiset,
-                                  ScanBounds, enumerate_cobordisms,
+from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, ExceptionalTriple,
+                                  GenusMultiset, ScanBounds,
+                                  _closing_context, enumerate_cobordisms,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
@@ -231,6 +232,36 @@ def test_separating_closure_exhaustive_two_circles():
     assert checked == 44403
 
 
+def test_closing_context_matches_the_reference_for_every_choice():
+    # every kept label and label pair, not only the ones the case
+    # analysis picks: a genus-2a cap on one hole is the paper's fill,
+    # stretch and closure with genus-a caps, and genus-a caps on a pair
+    # are the same with the pair kept
+    bounds = ScanBounds(max_circles=2, max_genus=1, max_closed=1,
+                        max_closed_genus=1)
+    checked = 0
+    for K in enumerate_cobordisms(bounds):
+        labels = ([BoundaryLabel(i, INGOING) for i in range(K.n_in)]
+                  + [BoundaryLabel(j, OUTGOING) for j in range(K.n_out)])
+        zeros = (0,) * len(labels)
+        assert _closing_context(K, zeros) \
+            == GenusMultiset(_reference_fill(K, ()).closed_genera)
+        for a in range(1, 4):
+            for x, label in enumerate(labels):
+                caps = zeros[:x] + (2 * a,) + zeros[x + 1:]
+                assert _closing_context(K, caps) \
+                    == _reference_close(K, (label,), a), (K, label, a)
+                checked += 1
+            for (x, lx), (y, ly) in itertools.combinations(
+                    enumerate(labels), 2):
+                caps = tuple(a if z in (x, y) else 0
+                             for z in range(len(labels)))
+                assert _closing_context(K, caps) \
+                    == _reference_close(K, (lx, ly), a), (K, lx, ly, a)
+                checked += 1
+    assert checked > 10000
+
+
 def test_enumeration_counts_and_order():
     bounds = ScanBounds(max_circles=2, max_genus=2, max_closed=1,
                         max_closed_genus=3)
@@ -288,6 +319,24 @@ def test_scan_negative_control_qz5_finds_collision():
 def test_scan_rejects_oversized_bounds():
     with pytest.raises(ValueError, match="desk scale"):
         faithfulness_scan(ScanBounds(4, 1, 0, 0))
+
+
+def test_cobordism_count_from_the_bounds():
+    for bounds, count in (((2, 2, 1, 3), 2330), ((2, 1, 1, 1), 483),
+                          ((2, 3, 2, 4), 22197), ((3, 1, 0, 0), 3731),
+                          ((0, 0, 0, 0), 1), ((0, 5, 2, 2), 10)):
+        bounds = ScanBounds(*bounds)
+        assert bounds.cobordism_count() == count
+        assert len(enumerate_cobordisms(bounds)) == count
+
+
+def test_scan_refuses_more_cobordisms_than_the_limit():
+    assert MAX_SCAN_COBORDISMS == 25000
+    # (2,2,100,3) admits 466 boundary shapes times C(104, 4) closed parts
+    for bounds in ((2, 2, 100, 3), (3, 2, 1, 0), (2, 3, 3, 4),
+                   (3, 10 ** 6, 10 ** 9, 10 ** 6)):
+        with pytest.raises(ValueError, match="more than 25000 cobordisms"):
+            ScanBounds(*bounds)
 
 
 def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(

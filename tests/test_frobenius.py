@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from cobtqft.exact import RationalMatrix, kron, mat_mul
-from cobtqft.frobenius import (FiniteGroup, FrobeniusAlgebra,
+from cobtqft.frobenius import (MAX_INPUT_DIM, FiniteGroup, FrobeniusAlgebra,
                                center_of_group_algebra, faithful_algebra,
                                group_algebra, pairing_copairing, qz5,
                                tensor_algebra, verify_frobenius, zqs3)
@@ -166,6 +166,15 @@ def test_algebra_json_round_trip():
     assert (back.dim, back.basis_names) == (z.dim, z.basis_names)
     assert back.mul == z.mul and back.comul == z.comul
     assert verify_frobenius(back).all_pass
+
+
+def test_algebra_json_dim_limit():
+    at_limit = group_algebra(FiniteGroup.cyclic(MAX_INPUT_DIM))
+    back = FrobeniusAlgebra.from_json_obj(at_limit.to_json_obj())
+    assert back.dim == 20 and back.mul == at_limit.mul
+    too_big = group_algebra(FiniteGroup.cyclic(MAX_INPUT_DIM + 1))
+    with pytest.raises(ValueError, match="dimension 21 exceeds"):
+        FrobeniusAlgebra.from_json_obj(too_big.to_json_obj())
 
 
 def test_group_json_input():

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
-from cobtqft.surface import (MAX_INPUT_GENUS, BoundaryLabel, Cobordism,
+from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS,
+                             BoundaryLabel, Cobordism,
                              closure, component, compose, e_block, fill_hole,
                              identity, permutation, rho, routing, stretch1,
                              stretch1_dual, stretch2, stretch2_dual, tensor)
@@ -236,6 +237,19 @@ def test_json_genus_limit():
                     e_block(0, 10 ** 9, 0)):
         with pytest.raises(ValueError, match="exceeds the input limit"):
             Cobordism.from_json_obj(too_big.to_json_obj())
+
+
+def test_json_circle_limit():
+    at_limit = identity(MAX_INPUT_CIRCLES)
+    assert Cobordism.from_json_obj(at_limit.to_json_obj()) == at_limit
+    for too_many in (e_block(0, 0, MAX_INPUT_CIRCLES + 1),
+                     e_block(MAX_INPUT_CIRCLES + 1, 0, 0)):
+        with pytest.raises(ValueError, match="input limit of 64 circles"):
+            Cobordism.from_json_obj(too_many.to_json_obj())
+    # refused before the components are read
+    with pytest.raises(ValueError, match="input limit"):
+        Cobordism.from_json_obj({"in": 10 ** 9, "out": 0, "components": [],
+                                 "closed": []})
 
 
 def test_routing_lists_circles_in_component_order():
