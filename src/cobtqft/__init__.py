@@ -8,7 +8,7 @@ and the center of the symmetric group of degree 3 assigns distinct
 matrices to distinct cobordisms.
 """
 
-from .exact import RationalMatrix, kron, mat_mul, perm_matrix
+from .exact import RationalMatrix, kron, mat_mul
 from .surface import (BoundaryLabel, Cobordism, Component, component,
                       compose, e_block, fill_hole, permutation, rho, tensor)
 from .diagram import (Term, TermArityError, TermError, TermSyntaxError,

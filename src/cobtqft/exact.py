@@ -108,9 +108,6 @@ class RationalMatrix:
             self.rows, self.cols,
             {k: s * v for k, v in self.entries.items()})
 
-    def __mul__(self, other) -> "RationalMatrix":
-        return mat_mul(self, other)
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
@@ -187,38 +184,6 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         for (ib, jb), vb in b.entries.items():
             data[rbase + ib, cbase + jb] = va * vb
     return RationalMatrix._adopt(a.rows * br, a.cols * bc, data)
-
-
-def perm_matrix(p: Sequence[int], block_dim: int) -> RationalMatrix:
-    """Permutation of tensor factors, each of dimension ``block_dim``.
-
-    ``p`` maps factor slots: the input factor in slot ``i`` moves to slot
-    ``p[i]``, i.e. the resulting 0/1 matrix sends ``e_{i_0}⊗...⊗e_{i_{n-1}}``
-    to the basis vector whose slot-``t`` factor is ``e_{i_{p^{-1}(t)}}``.
-    """
-    n = len(p)
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"{tuple(p)} is not a permutation of 0..{n - 1}")
-    d = block_dim
-    size = d ** n
-    pinv = [0] * n
-    for i, t in enumerate(p):
-        pinv[t] = i
-    one = Fraction(1)
-    data = {}
-    # powers[t] = weight of slot t in the mixed-radix index
-    powers = [d ** (n - 1 - t) for t in range(n)]
-    for col in range(size):
-        digits = []
-        rest = col
-        for t in range(n):
-            digits.append(rest // powers[t])
-            rest %= powers[t]
-        row = 0
-        for t in range(n):
-            row += digits[pinv[t]] * powers[t]
-        data[row, col] = one
-    return RationalMatrix._adopt(size, size, data)
 
 
 def swap_matrix(d1: int, d2: int) -> RationalMatrix:

@@ -282,6 +282,7 @@ class ScanBounds:
                 or self.cobordism_count() > MAX_SCAN_COBORDISMS):
             raise ValueError(f"the scan bounds admit more than "
                              f"{MAX_SCAN_COBORDISMS} cobordisms")
+        surface.check_input_genus(max(self.max_genus, self.max_closed_genus))
 
     def cobordism_count(self) -> int:
         """How many cobordisms the bounds admit, without enumerating them.

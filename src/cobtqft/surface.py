@@ -90,8 +90,6 @@ class Cobordism:
         seen_in: list[int] = []
         seen_out: list[int] = []
         for c in comps:
-            if not isinstance(c, Component):
-                raise TypeError(f"not a component: {c!r}")
             if c.genus < 0 or (not c.ingoing and not c.outgoing):
                 raise ValueError(f"invalid component {c!r}")
             seen_in.extend(c.ingoing)

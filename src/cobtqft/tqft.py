@@ -1,11 +1,16 @@
 """Evaluation of cobordisms in a commutative Frobenius algebra.
 
 ``evaluate(a, K)`` produces the exact matrix the field theory of ``a``
-assigns to the cobordism ``K``: each connected component factors as a
-comultiplication tree after genus-many handle operators after a
-multiplication tree, components combine by Kronecker product, and
-permutation matrices route the boundary circles to their positions.
-Closed components contribute the scalar counit∘handle^g∘unit each.
+assigns to the cobordism ``K``.  A connected genus-g component with n
+ingoing and m outgoing circles gets the block comul^m ∘ handle^g ∘ mul^n
+(``component_matrix``), and a closed genus-g piece the scalar
+counit∘handle^g∘unit.  Components sit side by side, so an entry of the
+matrix of K is the product of one entry of each block, times the closed
+pieces' scalars; where a component's circles sit decides only which
+tensor slots its block's basis indices occupy.  ``evaluate`` therefore
+makes one pass: it starts from the closed scalar and multiplies in each
+block, sending the block's row and column indices straight to the slots
+of its outgoing and ingoing circles (``_slots``).
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
@@ -25,12 +30,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, NamedTuple
 
-from .exact import RationalMatrix, kron, mat_mul, perm_matrix
+from .exact import RationalMatrix, kron, mat_mul
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
                         verify_frobenius, zqs3)
-from .surface import Cobordism, routing
+from .surface import Cobordism
 
 
 class AxiomFailure(ValueError):
@@ -101,31 +107,36 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
 
 
 @lru_cache(maxsize=None)
-def _routing(a: FrobeniusAlgebra, p: tuple[int, ...]) -> RationalMatrix:
-    return perm_matrix(p, a.dim)
+def _slots(d: int, circles: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Where each basis index of a block on ``circles`` lands among n slots.
+
+    Tensor indices are base-d numerals with slot 0 the most significant
+    digit, as in ``kron``; the block's j-th digit goes to slot
+    ``circles[j]``, the other slots stay 0.
+    """
+    weights = [d ** (n - 1 - t) for t in circles]
+    return tuple(sum(i * w for i, w in zip(digits, weights))
+                 for digits in product(range(d), repeat=len(circles)))
 
 
 def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     """Apply the field theory of ``a`` to a cobordism."""
     ensure_verified(a)
-    matrix = RationalMatrix.identity(1)
-    for c in K.components:
-        matrix = kron(matrix, component_matrix(
-            a, len(c.outgoing), c.genus, len(c.ingoing)))
-    p_in, out_order = routing(K)
-    if p_in != sorted(p_in):
-        matrix = mat_mul(matrix, _routing(a, tuple(p_in)))
-    if out_order != sorted(out_order):
-        matrix = mat_mul(_routing(a, tuple(out_order)), matrix)
     scalar = Fraction(1)
     for g in K.closed_genera:
         # the 0 -> 0 block is counit ∘ handle^g ∘ unit, a 1 x 1 matrix
         scalar *= component_matrix(a, 0, g, 0).get(0, 0)
-    if scalar != 1:
-        matrix = matrix.scale(scalar)
-    if matrix.shape != (a.dim ** K.n_out, a.dim ** K.n_in):
-        raise RuntimeError(f"evaluation of a {K.n_in} -> {K.n_out} cobordism "
-                           f"produced a {matrix.rows}x{matrix.cols} matrix")
+    # products of nonzero entries are nonzero, so only a zero scalar
+    # could put a zero into the matrix
+    entries = {(0, 0): scalar} if scalar else {}
+    for c in K.components:
+        block = component_matrix(a, len(c.outgoing), c.genus, len(c.ingoing))
+        rows = _slots(a.dim, c.outgoing, K.n_out)
+        cols = _slots(a.dim, c.ingoing, K.n_in)
+        placed = [(rows[i], cols[j], w) for (i, j), w in block.entries.items()]
+        entries = {(r + i, s + j): v * w for (r, s), v in entries.items()
+                   for i, j, w in placed}
+    matrix = RationalMatrix._adopt(a.dim ** K.n_out, a.dim ** K.n_in, entries)
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 

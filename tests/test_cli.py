@@ -41,6 +41,36 @@ def test_eval_emits_header_and_matrix(capsys):
     assert [2, 0, "3/2"] in obj["matrix"]["entries"]
 
 
+# Q[x]/(x^2) on the basis (1, x) with counit 1 on x and 0 on 1: the
+# sphere evaluates to 0 and the torus to counit(2x) = 2
+DUAL_NUMBERS = {
+    "dim": 2, "basis": ["1", "x"],
+    "mul": {"rows": 2, "cols": 4,
+            "entries": [[0, 0, "1"], [1, 1, "1"], [1, 2, "1"]]},
+    "unit": {"rows": 2, "cols": 1, "entries": [[0, 0, "1"]]},
+    "comul": {"rows": 4, "cols": 2,
+              "entries": [[1, 0, "1"], [2, 0, "1"], [3, 1, "1"]]},
+    "counit": {"rows": 1, "cols": 2, "entries": [[0, 1, "1"]]},
+}
+
+
+def test_eval_with_a_zero_closed_scalar(capsys, tmp_path):
+    path = tmp_path / "dual_numbers.json"
+    path.write_text(json.dumps(DUAL_NUMBERS))
+
+    def evaluated(term):
+        code, out, err = run(capsys, "eval", "--algebra", f"file:{path}",
+                             "--term", term)
+        assert code == 0 and err == ""
+        return out
+
+    assert '"entries":[]' in evaluated("eta ; eps")
+    assert json.loads(evaluated("(eta ; eps) * id[1]"))["matrix"] \
+        == {"rows": 2, "cols": 2, "entries": []}
+    assert json.loads(evaluated("E[0,1,0]"))["matrix"] \
+        == {"rows": 1, "cols": 1, "entries": [[0, 0, "2"]]}
+
+
 def test_eval_rejects_bad_terms_with_position(capsys):
     code, _, err = run(capsys, "eval", "--term", "mu ; mu")
     assert code == 2 and "position" in err
@@ -260,6 +290,14 @@ def test_scan_refuses_oversized_enumeration(capsys):
     code, out, err = run(capsys, "scan", "--max-closed", "100")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "more than 25000" in err
+
+
+def test_scan_refuses_genus_bounds_above_the_limit(capsys):
+    code, out, err = run(capsys, "scan", "--max-circles", "0",
+                         "--max-genus", "0", "--max-closed", "1",
+                         "--max-closed-genus", "6000")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "genus 6000 exceeds the input limit 64" in err
 
 
 def test_zsigmondy_limit(capsys):

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobtqft.exact import (RationalMatrix, kron, mat_mul, perm_matrix,
-                           swap_matrix)
+from cobtqft.exact import RationalMatrix, kron, mat_mul
 from cobtqft.frobenius import qz5, zqs3
 
 
@@ -81,25 +80,6 @@ def test_kron_units_column():
     assert col.entries == {(0, 0): F(1)}
 
 
-def test_perm_matrix_identity_and_swap():
-    assert perm_matrix((0, 1, 2), 2) == RationalMatrix.identity(8)
-    flip = perm_matrix((1, 0), 2)
-    assert flip == RationalMatrix.from_rows(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    assert flip == swap_matrix(2, 2)
-
-
-def test_perm_matrix_involution():
-    for d in (2, 3, 5):
-        flip = perm_matrix((1, 0), d)
-        assert mat_mul(flip, flip) == RationalMatrix.identity(d * d)
-
-
-def test_perm_matrix_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        perm_matrix((0, 0, 1), 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mat_mul_associative(data):
@@ -117,15 +97,6 @@ def test_kron_mixed_product(data):
     c = data.draw(matrices(rows=a.cols))
     d = data.draw(matrices(rows=b.cols))
     assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.permutations(list(range(4))), st.permutations(list(range(4))),
-       st.integers(1, 3))
-def test_perm_matrix_composition(p, q, d):
-    composed = tuple(p[q[i]] for i in range(4))
-    assert mat_mul(perm_matrix(p, d), perm_matrix(q, d)) \
-        == perm_matrix(composed, d)
 
 
 @settings(max_examples=40, deadline=None)

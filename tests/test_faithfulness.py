@@ -339,6 +339,15 @@ def test_scan_refuses_more_cobordisms_than_the_limit():
             ScanBounds(*bounds)
 
 
+def test_scan_refuses_genus_bounds_above_the_input_limit():
+    assert surface.MAX_INPUT_GENUS == 64
+    assert ScanBounds(0, 64, 1, 64).cobordism_count() == 66
+    # (0,0,1,6000) admits only 6 002 cobordisms, but genus-6000 pieces
+    for bounds in ((0, 0, 1, 6000), (0, 65, 0, 0), (1, 0, 1, 65)):
+        with pytest.raises(ValueError, match="exceeds the input limit 64"):
+            ScanBounds(*bounds)
+
+
 def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
         monkeypatch, tmp_path):
     from cobtqft import faithfulness

@@ -1,7 +1,12 @@
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cobtqft"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cobtqft"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_no_assert_statements_in_src():
@@ -26,3 +31,34 @@ def test_no_floats_in_src():
                   or (isinstance(node, ast.Name) and node.id == "float")]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark traces these names and calls these attributes; a
+    # deletion in src/ that breaks it should fail here too
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = [(module, attribute) for module, attribute, _ in tracer.TARGETS]
+    assert ("exact", "RationalMatrix.key") in hooks
+
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "cobtqft" for alias in node.names}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported}
+    assert ("tqft", "evaluate") in used
+
+    missing = []
+    for module, attribute in hooks + sorted(used):
+        owner = importlib.import_module(f"cobtqft.{module}")
+        for name in attribute.split("."):
+            owner = getattr(owner, name, None)
+        if owner is None:
+            missing.append(f"{module}.{attribute}")
+    assert missing == []

@@ -3,15 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from cobtqft.exact import RationalMatrix, kron, mat_mul
+from cobtqft.exact import RationalMatrix, kron, mat_mul, swap_matrix
 from cobtqft.frobenius import (FrobeniusAlgebra, faithful_algebra, qz5,
                                tensor_algebra, zqs3)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block, identity,
-                             permutation, tensor)
-from cobtqft.tqft import (ALGEBRAS, AxiomFailure, closed_invariant, evaluate,
-                          handle_power, iterated_comul, iterated_mul,
-                          load_algebra, zqs3_handle_power)
+                             permutation, routing, tensor)
+from cobtqft.tqft import (ALGEBRAS, AxiomFailure, closed_invariant,
+                          component_matrix, evaluate, handle_power,
+                          iterated_comul, iterated_mul, load_algebra,
+                          zqs3_handle_power)
 
 E111_ZQS3 = RationalMatrix.from_rows([[3, 0, 3], [0, 6, 0],
                                       [F(3, 2), 0, F(9, 2)]])
@@ -126,7 +127,6 @@ def test_multiplicative_over_disjoint_closed_pieces():
 
 
 def test_swap_evaluates_to_flip():
-    from cobtqft.exact import swap_matrix
     for a in (qz5(), zqs3()):
         assert evaluate(a, permutation((1, 0))).matrix \
             == swap_matrix(a.dim, a.dim)
@@ -152,6 +152,52 @@ def test_evaluate_routes_interleaved_outgoing_circles():
     assert K == compose(blocks, route)
     expected = mat_mul(evaluate(z, route).matrix, evaluate(z, blocks).matrix)
     assert evaluate(z, K).matrix == expected
+
+
+def _reference_route(p, d):
+    """The matrix moving the tensor factor in slot i to slot p[i], built
+    by bubble sort from adjacent flips id ⊗ swap ⊗ id."""
+    n = len(p)
+    order = list(range(n))  # order[t]: the factor now in slot t
+    route = RationalMatrix.identity(d ** n)
+    for _ in range(n):
+        for t in range(n - 1):
+            if p[order[t]] > p[order[t + 1]]:
+                flip = kron(kron(RationalMatrix.identity(d ** t),
+                                 swap_matrix(d, d)),
+                            RationalMatrix.identity(d ** (n - t - 2)))
+                route = mat_mul(flip, route)
+                order[t], order[t + 1] = order[t + 1], order[t]
+    assert [p[f] for f in order] == list(range(n))
+    return route
+
+
+def _reference_evaluate(a, K):
+    """The blocks as a Kronecker chain in component order, routed to the
+    circles' order by permutation matrices, then scaled by the closed
+    pieces."""
+    matrix = RationalMatrix.identity(1)
+    for c in K.components:
+        matrix = kron(matrix, component_matrix(
+            a, len(c.outgoing), c.genus, len(c.ingoing)))
+    p_in, out_order = routing(K)
+    matrix = mat_mul(_reference_route(out_order, a.dim),
+                     mat_mul(matrix, _reference_route(p_in, a.dim)))
+    scalar = F(1)
+    for g in K.closed_genera:
+        scalar *= component_matrix(a, 0, g, 0).get(0, 0)
+    return matrix.scale(scalar)
+
+
+def test_evaluate_places_blocks_like_the_routed_kronecker_chain():
+    checked = 0
+    for name, bounds in (("A", ScanBounds(2, 1, 1, 1)),
+                         ("zqs3", ScanBounds(3, 0, 0, 0))):
+        a = load_algebra(name)
+        for K in enumerate_cobordisms(bounds):
+            assert evaluate(a, K).matrix == _reference_evaluate(a, K), K
+            checked += 1
+    assert checked == 864
 
 
 TINY = ScanBounds(max_circles=1, max_genus=2, max_closed=1, max_closed_genus=2)
