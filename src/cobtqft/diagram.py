@@ -72,8 +72,11 @@ class Tens(Term):
     right: Term = None
 
 
-_GEN_ARITY = {"mu": (2, 1), "eta": (0, 1), "delta": (1, 2),
-              "eps": (1, 0), "swap": (2, 2)}
+_GENERATORS = {"mu": surface.e_block(1, 0, 2),
+               "eta": surface.e_block(1, 0, 0),
+               "delta": surface.e_block(2, 0, 1),
+               "eps": surface.e_block(0, 0, 1),
+               "swap": surface.permutation((1, 0))}
 
 
 def arity(t: Term) -> tuple[int, int]:
@@ -85,7 +88,8 @@ def arity(t: Term) -> tuple[int, int]:
         if t.name == "E":
             m, _, n = t.params
             return n, m
-        return _GEN_ARITY[t.name]
+        K = _GENERATORS[t.name]
+        return K.n_in, K.n_out
     if isinstance(t, Tens):
         ln, lm = arity(t.left)
         rn, rm = arity(t.right)
@@ -179,7 +183,7 @@ class _Parser:
             return t
         if kind != "name":
             raise TermSyntaxError(f"expected a generator, found {text or 'end of input'!r}", pos)
-        if text in _GEN_ARITY:
+        if text in _GENERATORS:
             return Gen(name=text, pos=pos)
         if text == "id":
             self.expect("[")
@@ -230,20 +234,11 @@ def print_term(t: Term) -> str:
 def elaborate(t: Term) -> Cobordism:
     """Interpret a well-typed term as a cobordism normal form."""
     if isinstance(t, Gen):
-        if t.name == "mu":
-            return surface.e_block(1, 0, 2)
-        if t.name == "eta":
-            return surface.e_block(1, 0, 0)
-        if t.name == "delta":
-            return surface.e_block(2, 0, 1)
-        if t.name == "eps":
-            return surface.e_block(0, 0, 1)
-        if t.name == "swap":
-            return surface.permutation((1, 0))
         if t.name == "id":
             return surface.identity(t.params[0])
         if t.name == "E":
             return surface.e_block(*t.params)
+        return _GENERATORS[t.name]
     if isinstance(t, Comp):
         return surface.compose(elaborate(t.left), elaborate(t.right))
     if isinstance(t, Tens):
@@ -325,6 +320,11 @@ def format_cobordism(K: Cobordism) -> str:
     handle loops ``delta ; mu``, then a comultiplication tree; the
     boundary circles are routed to their positions by words of adjacent
     transpositions, and closed pieces become ``eta ; ... ; eps``.
+
+    The round trip holds iff the word keeps to the limits of `parse`:
+    MAX_TOKENS tokens (eight a handle: genus 30 passes, genus 64 fails)
+    and numbers up to MAX_NUMBER (a swap among 67 circles may need
+    id[65]).  Beyond them this raises ValueError naming both limits.
     """
     p_in, out_order = surface.routing(K)
     word = _perm_word(p_in) if K.n_in else None
@@ -342,4 +342,11 @@ def format_cobordism(K: Cobordism) -> str:
         word = piece if word is None else Tens(left=word, right=piece)
     if word is None:
         word = Gen(name="id", params=(0,))
-    return print_term(word)
+    text = print_term(word)
+    tokens = len(_TOKEN.findall(text))
+    number = max(map(int, re.findall(r"\d+", text)), default=0)
+    if tokens > MAX_TOKENS or number > MAX_NUMBER:
+        raise ValueError(f"the word has {tokens} tokens and numbers up "
+                         f"to {number}; parse takes {MAX_TOKENS} and "
+                         f"{MAX_NUMBER}")
+    return text

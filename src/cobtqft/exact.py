@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class RationalMatrix:
@@ -30,16 +30,14 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         data: dict[tuple[int, int], Fraction] = {}
         if entries:
-            items = entries.items() if isinstance(entries, Mapping) else entries
-            for key, value in items:
-                r, c = key
+            for (r, c), value in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
                 v = value if isinstance(value, Fraction) else Fraction(value)

@@ -11,7 +11,10 @@ independent routes:
   compares the closed-surface genus multisets and their invariant
   products.  Only the cap genera depend on the pair (see
   :func:`separating_closure`); they glue the paper's fill, stretch and
-  close-off moves into one context.
+  close-off moves into one context.  No gluing is computed: Euler
+  characteristics add along a circle, so a genus-g disk (1 - 2g) on a
+  genus-h piece (2 - 2h - b) adds g to its genus, and caps on distinct
+  circles never join two pieces.
 
 The invariant product separates genus multisets because each closed
 genus-k surface contributes 5·(3/2)^(k-1)·(2^(2k-1)+1): the power of 5
@@ -31,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import surface
-from .surface import BoundaryLabel, Cobordism, INGOING, OUTGOING
+from .surface import Cobordism
 from .tqft import closed_invariant, evaluate, load_algebra
 
 
@@ -156,12 +159,10 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 # --- the separating context pipeline ---------------------------------------
 
 @lru_cache(maxsize=None)
-def _labels(n_in: int, n_out: int):
-    """The boundary labels, ingoing first, and the index pairs of labels
-    in `itertools.combinations` order."""
-    labels = (tuple(BoundaryLabel(i, INGOING) for i in range(n_in))
-              + tuple(BoundaryLabel(j, OUTGOING) for j in range(n_out)))
-    return labels, tuple(itertools.combinations(range(len(labels)), 2))
+def _labels(n_in: int, n_out: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs of the boundary labels in `itertools.combinations`
+    order.  Label i is ingoing circle i, label n_in + j outgoing circle j."""
+    return tuple(itertools.combinations(range(n_in + n_out), 2))
 
 
 class _LabelData(NamedTuple):
@@ -177,27 +178,24 @@ class _LabelData(NamedTuple):
 def _label_data(K: Cobordism) -> _LabelData:
     """Per-label data of K.  The `same` flags encode the boundary
     partition: two cobordisms have equal flags iff their partitions agree."""
-    labels, pairs = _labels(K.n_in, K.n_out)
-    owner = {}
-    for c in K.components:
-        owner.update((BoundaryLabel(i, INGOING), c) for i in c.ingoing)
-        owner.update((BoundaryLabel(j, OUTGOING), c) for j in c.outgoing)
-    owners = [owner[x] for x in labels]
-    return _LabelData(pairs, tuple(c.genus for c in owners),
-                      tuple(owners[x] is owners[y] for x, y in pairs),
+    pairs = _labels(K.n_in, K.n_out)
+    owner = [0] * (K.n_in + K.n_out)
+    for idx, c in enumerate(K.components):
+        for x in c.ingoing + tuple(K.n_in + j for j in c.outgoing):
+            owner[x] = idx
+    return _LabelData(pairs, tuple(K.components[x].genus for x in owner),
+                      tuple(owner[x] == owner[y] for x, y in pairs),
                       K.max_genus())
 
 
 @lru_cache(maxsize=None)
 def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
-    """Cap every boundary circle of K, the i-th label (ingoing first)
-    with a disk of genus ``caps[i]``, and return the closed genera."""
-    below = Cobordism(0, K.n_in, [surface.component((), (i,), g)
-                                  for i, g in enumerate(caps[:K.n_in])])
-    above = Cobordism(K.n_out, 0, [surface.component((j,), (), g)
-                                   for j, g in enumerate(caps[K.n_in:])])
-    return GenusMultiset(
-        surface.compose(surface.compose(below, K), above).closed_genera)
+    """Cap each label x of K with a disk of genus ``caps[x]`` and return
+    the closed genera: each piece adds its caps' genera to its own."""
+    return genus_multiset(
+        [c.genus + sum(caps[i] for i in c.ingoing)
+         + sum(caps[K.n_in + j] for j in c.outgoing) for c in K.components]
+        + list(K.closed_genera))
 
 
 def _first_difference(xs: tuple, ys: tuple) -> int:
@@ -213,9 +211,11 @@ def separating_closure(K: Cobordism, L: Cobordism
     context, producing distinct closed genus multisets.
 
     The context caps every boundary circle with a disk; only the cap
-    genera depend on how K and L differ.  Let ``a`` be one more than
-    every genus in K and L: a piece that meets no cap of genus a or 2a
-    stays below genus a.
+    genera depend on how K and L differ.  A cap adds its genus to the
+    piece it closes, as Euler characteristics add along a circle, and
+    no cap joins two pieces.  Let ``a`` be one more than every genus in
+    K and L: a piece that meets no cap of genus a or 2a stays below
+    genus a.
 
     (a) Equal boundary partitions and per-label genera: every cap has
         genus 0, and the closed parts, which differ, stay apart.
@@ -333,13 +333,12 @@ def enumerate_cobordisms(bounds: ScanBounds) -> tuple[Cobordism, ...]:
     genera = range(bounds.max_genus + 1)
     for n_in in range(bounds.max_circles + 1):
         for n_out in range(bounds.max_circles + 1):
-            labels, _ = _labels(n_in, n_out)
             block: list[Cobordism] = []
-            for part in _set_partitions(labels):
+            for part in _set_partitions(range(n_in + n_out)):
                 for gs in itertools.product(genera, repeat=len(part)):
                     comps = [surface.component(
-                        (x.index for x in blk if x.side == INGOING),
-                        (x.index for x in blk if x.side == OUTGOING),
+                        (x for x in blk if x < n_in),
+                        (x - n_in for x in blk if x >= n_in),
                         g) for blk, g in zip(part, gs)]
                     for closed in closed_options:
                         block.append(Cobordism(n_in, n_out, comps, closed))

@@ -98,12 +98,6 @@ class FiniteGroup:
                  for p in elements]
         return cls(table, [_cycle_name(p) for p in elements])
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FiniteGroup":
-        if obj.get("order") != len(obj["table"]):
-            raise ValueError("order field does not match table size")
-        return cls(obj["table"], obj.get("names"))
-
 
 def _cycle_name(p: Sequence[int]) -> str:
     # cycle notation on 1-based points, fixed points dropped

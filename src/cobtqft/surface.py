@@ -80,12 +80,12 @@ class Cobordism:
     __slots__ = ("n_in", "n_out", "components", "closed_genera", "_hash")
 
     def __init__(self, n_in: int, n_out: int,
-                 components: Iterable = (), closed_genera: Iterable[int] = ()):
+                 components: Iterable[Component] = (),
+                 closed_genera: Iterable[int] = ()):
         if n_in < 0 or n_out < 0:
             raise ValueError(f"negative arity {n_in} -> {n_out}")
-        comps = tuple(sorted(
-            (c if isinstance(c, Component) else component(*c) for c in components),
-            key=lambda c: c.ingoing[0] if c.ingoing else n_in + c.outgoing[0]))
+        comps = tuple(sorted(components, key=lambda c: c.ingoing[0]
+                             if c.ingoing else n_in + c.outgoing[0]))
         closed = tuple(sorted(closed_genera, reverse=True))
         seen_in: list[int] = []
         seen_out: list[int] = []

@@ -109,6 +109,21 @@ def test_format_round_trip_exhaustive():
         assert elaborate(parse(word)) == K, (K, word)
 
 
+def test_format_refuses_a_word_that_parse_would_reject():
+    # eight tokens a handle: genus 30 stays well inside the limit, and
+    # genus 64, which eval accepts as E[1,64,1], needs about 507 tokens
+    K = e_block(1, 30, 1)
+    assert elaborate(parse(format_cobordism(K))) == K
+    limits = f"parse takes {MAX_TOKENS} and {MAX_NUMBER}"
+    with pytest.raises(ValueError, match="has 507 tokens .*" + limits):
+        format_cobordism(e_block(1, 64, 1))
+    # a swap at the front of n circles is written swap * id[n - 2]
+    K = permutation((1, 0, *range(2, 66)))
+    assert elaborate(parse(format_cobordism(K))) == K
+    with pytest.raises(ValueError, match="numbers up to 65; " + limits):
+        format_cobordism(permutation((1, 0, *range(2, 67))))
+
+
 def test_format_round_trip_routing_heavy():
     cases = [
         permutation((2, 0, 1)),

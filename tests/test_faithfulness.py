@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -232,11 +233,36 @@ def test_separating_closure_exhaustive_two_circles():
     assert checked == 44403
 
 
+def _reference_glue(K, caps):
+    """The closing context glued for real: a disk of genus caps[i] below
+    each ingoing circle i and one of genus caps[n_in + j] above each
+    outgoing circle j."""
+    below = Cobordism(0, K.n_in, [component((), (i,), g)
+                                  for i, g in enumerate(caps[:K.n_in])])
+    above = Cobordism(K.n_out, 0, [component((j,), (), g)
+                                   for j, g in enumerate(caps[K.n_in:])])
+    return GenusMultiset(
+        surface.compose(surface.compose(below, K), above).closed_genera)
+
+
 def test_closing_context_matches_the_reference_for_every_choice():
     # every kept label and label pair, not only the ones the case
     # analysis picks: a genus-2a cap on one hole is the paper's fill,
     # stretch and closure with genus-a caps, and genus-a caps on a pair
     # are the same with the pair kept
+    rng = random.Random(7)
+    three_circles = [K for K in enumerate_cobordisms(ScanBounds(3, 0, 0, 0))
+                     if max(K.n_in, K.n_out) == 3]
+    glued = 0
+    for K in (*enumerate_cobordisms(ScanBounds(2, 1, 1, 1)), *three_circles):
+        # arbitrary cap vectors, against gluing the disks on
+        for _ in range(4):
+            caps = tuple(rng.randint(0, 6) for _ in range(K.n_in + K.n_out))
+            assert _closing_context(K, caps) == _reference_glue(K, caps), \
+                (K, caps)
+            glued += 1
+    assert glued == 4 * (483 + 347)
+
     bounds = ScanBounds(max_circles=2, max_genus=1, max_closed=1,
                         max_closed_genus=1)
     checked = 0

@@ -177,14 +177,6 @@ def test_algebra_json_dim_limit():
         FrobeniusAlgebra.from_json_obj(too_big.to_json_obj())
 
 
-def test_group_json_input():
-    g = FiniteGroup.from_json_obj(
-        {"order": 2, "table": [[0, 1], [1, 0]]})
-    assert g.identity == 0
-    with pytest.raises(ValueError, match="order"):
-        FiniteGroup.from_json_obj({"order": 3, "table": [[0, 1], [1, 0]]})
-
-
 def test_shape_validation():
     z = zqs3()
     with pytest.raises(ValueError, match="mul must be"):

@@ -62,3 +62,22 @@ def test_benchmark_hooks_resolve(monkeypatch):
         if owner is None:
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def test_src_imports_only_the_standard_library():
+    # runtime dependencies stay empty: every import in src/ is relative
+    # or names a standard-library module
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
