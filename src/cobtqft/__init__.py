@@ -9,8 +9,8 @@ matrices to distinct cobordisms.
 """
 
 from .exact import RationalMatrix, kron, mat_mul
-from .surface import (BoundaryLabel, Cobordism, Component, component,
-                      compose, e_block, fill_hole, permutation, rho, tensor)
+from .surface import (Cobordism, Component, component, compose, e_block,
+                      fill_hole, permutation, rho, tensor)
 from .diagram import (Term, TermArityError, TermError, TermSyntaxError,
                       elaborate, format_cobordism, parse, print_term)
 from .frobenius import (FiniteGroup, FrobeniusAlgebra,

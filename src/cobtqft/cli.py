@@ -30,11 +30,6 @@ from .surface import Cobordism
 from .tqft import AxiomFailure, load_algebra
 
 
-# The largest matrix `eval` builds, in entries: the 3 -> 3 matrices under
-# A, the largest the scan allows.
-MAX_EVAL_ENTRIES = 15 ** 6
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w") as fh:
@@ -47,10 +42,7 @@ def cmd_eval(args) -> int:
     algebra = load_algebra(args.algebra)
     K = diagram.elaborate(diagram.parse(args.term))
     surface.check_input_genus(K.max_genus())
-    if algebra.dim ** (K.n_in + K.n_out) > MAX_EVAL_ENTRIES:
-        raise ValueError(f"a {K.n_in} -> {K.n_out} word under a "
-                         f"{algebra.dim}-dimensional algebra exceeds the "
-                         f"limit of {MAX_EVAL_ENTRIES} matrix entries")
+    tqft.check_matrix_size(algebra, K.n_in, K.n_out)
     ev = tqft.evaluate(algebra, K)
     obj = {"in": ev.n_in, "out": ev.n_out, "dim": algebra.dim,
            "matrix": ev.matrix.to_json_obj()}
@@ -103,10 +95,8 @@ def cmd_zsigmondy(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    with open(args.left) as fh:
-        K = Cobordism.from_json_obj(json.load(fh))
-    with open(args.right) as fh:
-        L = Cobordism.from_json_obj(json.load(fh))
+    K = Cobordism.from_json_obj(tqft.read_json(args.left))
+    L = Cobordism.from_json_obj(tqft.read_json(args.right))
     ms_k, ms_l = faithfulness.separating_closure(K, L)
     obj = {"left": {"genera": list(ms_k.genera),
                     "invariant": str(faithfulness.multiset_invariant(ms_k))},

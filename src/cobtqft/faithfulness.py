@@ -9,7 +9,8 @@ independent routes:
 * the separation route drives both through the same closing context,
   one cobordism that caps every boundary circle with a disk, and
   compares the closed-surface genus multisets and their invariant
-  products.  Only the cap genera depend on the pair (see
+  products.  Circles are named by the integer boundary labels of
+  :mod:`cobtqft.surface`.  Only the cap genera depend on the pair (see
   :func:`separating_closure`); they glue the paper's fill, stretch and
   close-off moves into one context.  No gluing is computed: Euler
   characteristics add along a circle, so a genus-g disk (1 - 2g) on a
@@ -35,7 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import surface
 from .surface import Cobordism
-from .tqft import closed_invariant, evaluate, load_algebra
+from .tqft import (check_matrix_size, closed_invariant, evaluate,
+                   load_algebra)
 
 
 class GenusMultiset(NamedTuple):
@@ -160,17 +162,16 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 
 @lru_cache(maxsize=None)
 def _labels(n_in: int, n_out: int) -> tuple[tuple[int, int], ...]:
-    """The index pairs of the boundary labels in `itertools.combinations`
-    order.  Label i is ingoing circle i, label n_in + j outgoing circle j."""
+    """The pairs of boundary labels (see :mod:`cobtqft.surface`) in
+    `itertools.combinations` order."""
     return tuple(itertools.combinations(range(n_in + n_out), 2))
 
 
 class _LabelData(NamedTuple):
     """What the separation needs to know about one cobordism."""
 
-    pairs: tuple[tuple[int, int], ...]  # label index pairs
     genera: tuple[int, ...]  # genus of each label's component
-    same: tuple[bool, ...]   # per pair: do both labels share a component?
+    same: tuple[bool, ...]   # per label pair: do both share a component?
     max_genus: int
 
 
@@ -178,13 +179,10 @@ class _LabelData(NamedTuple):
 def _label_data(K: Cobordism) -> _LabelData:
     """Per-label data of K.  The `same` flags encode the boundary
     partition: two cobordisms have equal flags iff their partitions agree."""
-    pairs = _labels(K.n_in, K.n_out)
-    owner = [0] * (K.n_in + K.n_out)
-    for idx, c in enumerate(K.components):
-        for x in c.ingoing + tuple(K.n_in + j for j in c.outgoing):
-            owner[x] = idx
-    return _LabelData(pairs, tuple(K.components[x].genus for x in owner),
-                      tuple(owner[x] == owner[y] for x, y in pairs),
+    owner = surface.owners(K)
+    return _LabelData(tuple(K.components[idx].genus for idx in owner),
+                      tuple(owner[x] == owner[y]
+                            for x, y in _labels(K.n_in, K.n_out)),
                       K.max_genus())
 
 
@@ -192,10 +190,10 @@ def _label_data(K: Cobordism) -> _LabelData:
 def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
     """Cap each label x of K with a disk of genus ``caps[x]`` and return
     the closed genera: each piece adds its caps' genera to its own."""
-    return genus_multiset(
-        [c.genus + sum(caps[i] for i in c.ingoing)
-         + sum(caps[K.n_in + j] for j in c.outgoing) for c in K.components]
-        + list(K.closed_genera))
+    genera = [c.genus for c in K.components]
+    for x, idx in enumerate(surface.owners(K)):
+        genera[idx] += caps[x]
+    return genus_multiset(genera + list(K.closed_genera))
 
 
 def _first_difference(xs: tuple, ys: tuple) -> int:
@@ -243,8 +241,8 @@ def separating_closure(K: Cobordism, L: Cobordism
     a = 1 + max(dk.max_genus, dl.max_genus)
     caps = [0] * len(dk.genera)
     if dk.same != dl.same:
-        for x in dk.pairs[_first_difference(dk.same, dl.same)]:
-            caps[x] = a
+        x, y = _labels(K.n_in, K.n_out)[_first_difference(dk.same, dl.same)]
+        caps[x] = caps[y] = a
     elif dk.genera != dl.genera:
         caps[_first_difference(dk.genera, dl.genera)] = 2 * a
     caps = tuple(caps)
@@ -383,9 +381,12 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
     route and the separation route; for other algebras the scan runs the
     matrix route only.  Arity classes are scanned in enumeration order
     and the first collision is reported; cross-arity pairs differ by
-    shape and are counted without further work.
+    shape and are counted without further work.  Bounds whose largest
+    matrices would exceed ``tqft.MAX_EVAL_ENTRIES`` raise ValueError
+    before anything is enumerated.
     """
     a = load_algebra(algebra)
+    check_matrix_size(a, bounds.max_circles, bounds.max_circles)
     reference = load_algebra("A")
     cross_check = all(getattr(a, name) == getattr(reference, name)
                       for name in ("mul", "unit", "comul", "counit"))

@@ -13,6 +13,10 @@ Orientation runs top to bottom: the ingoing circles are at the top,
 and ``compose(K, L)`` glues the outgoing circles of ``K`` to the
 ingoing circles of ``L`` ("K first, then L", diagrammatic order).
 
+A boundary label is an integer naming one circle of an ``n_in -> n_out``
+cobordism: label i is ingoing circle i, and label ``n_in + j`` outgoing
+circle j.  :func:`owners` maps every label to its component's index.
+
 Gluing bookkeeping goes through the Euler characteristic: gluing along
 circles is additive (a circle has characteristic 0), so a merged
 component with characteristic chi and b remaining boundary circles has
@@ -23,9 +27,6 @@ by gluing two components along several circles at once.
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
-
-INGOING = 0
-OUTGOING = 1
 
 # The largest genus accepted from input (words, cobordism JSON and
 # `invariant --genus`): evaluating a genus-k piece multiplies k handle
@@ -43,11 +44,6 @@ def check_input_genus(genus: int) -> int:
         raise ValueError(f"genus {genus} exceeds the input limit "
                          f"{MAX_INPUT_GENUS}")
     return genus
-
-
-class BoundaryLabel(NamedTuple):
-    index: int
-    side: int  # INGOING or OUTGOING
 
 
 class Component(NamedTuple):
@@ -72,9 +68,9 @@ def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Co
 class Cobordism:
     """Canonical normal form of a 2-cobordism ``n_in -> n_out``.
 
-    Components are kept in a fixed total order (anchored at the least
-    ingoing circle, else n_in + least outgoing circle), and the closed
-    genera sorted descending, so ``==`` decides cobordism equivalence.
+    Components are kept in the order of their least boundary label, and
+    the closed genera sorted descending, so ``==`` decides cobordism
+    equivalence.
     """
 
     __slots__ = ("n_in", "n_out", "components", "closed_genera", "_hash")
@@ -207,40 +203,38 @@ def permutation(p: Sequence[int]) -> Cobordism:
     return Cobordism(n, n, [component((i,), (p[i],), 0) for i in range(n)])
 
 
+def owners(K: Cobordism) -> tuple[int, ...]:
+    """The index in ``K.components`` of the component of every boundary
+    label, in label order (label i is ingoing circle i, label n_in + j
+    outgoing circle j).  Closed pieces carry no labels."""
+    owner = [0] * (K.n_in + K.n_out)
+    for idx, c in enumerate(K.components):
+        for i in c.ingoing:
+            owner[i] = idx
+        for j in c.outgoing:
+            owner[K.n_in + j] = idx
+    return tuple(owner)
+
+
 def compose(first: Cobordism, second: Cobordism) -> Cobordism:
     """Glue outgoing circles of `first` to ingoing circles of `second`."""
     if first.n_out != second.n_in:
         raise ValueError(
             f"cannot glue {first.n_in}->{first.n_out} onto "
             f"{second.n_in}->{second.n_out}: boundary arities differ")
-    # union-find over component slots of both factors
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    # union-find over the components of both factors, first's at indices
+    # 0..p-1 and second's after them: rep[idx] names idx's class, and
+    # each glued circle merges the classes of its two components
+    p = len(first.components)
+    comps = first.components + second.components
+    rep = list(range(len(comps)))
+    for a, b in zip(owners(first)[first.n_in:], owners(second)[:second.n_in]):
+        old, new = rep[a], rep[p + b]
+        rep = [new if r == old else r for r in rep]
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    out_owner = {}
-    for idx, c in enumerate(first.components):
-        for j in c.outgoing:
-            out_owner[j] = (0, idx)
-    in_owner = {}
-    for idx, c in enumerate(second.components):
-        for j in c.ingoing:
-            in_owner[j] = (1, idx)
-    for j in range(first.n_out):
-        a, b = find(out_owner[j]), find(in_owner[j])
-        if a != b:
-            parent[a] = b
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for side, comps in ((0, first.components), (1, second.components)):
-        for idx in range(len(comps)):
-            groups.setdefault(find((side, idx)), []).append((side, idx))
+    groups: dict[int, list[int]] = {}
+    for idx, r in enumerate(rep):
+        groups.setdefault(r, []).append(idx)
 
     new_components = []
     closed = list(first.closed_genera) + list(second.closed_genera)
@@ -248,13 +242,13 @@ def compose(first: Cobordism, second: Cobordism) -> Cobordism:
         chi = 0
         ins: list[int] = []
         outs: list[int] = []
-        for side, idx in members:
-            c = (first if side == 0 else second).components[idx]
+        for idx in members:
+            c = comps[idx]
             chi += 2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
-            if side == 0:
-                ins.extend(c.ingoing)
+            if idx < p:  # first's free circles are ingoing, second's outgoing
+                ins += c.ingoing
             else:
-                outs.extend(c.outgoing)
+                outs += c.outgoing
         boundary = len(ins) + len(outs)
         twice_genus = 2 - chi - boundary
         if twice_genus < 0 or twice_genus % 2:
@@ -294,44 +288,37 @@ def routing(K: Cobordism) -> tuple[list[int], list[int]]:
     return p_in, [j for c in K.components for j in c.outgoing]
 
 
-def rho(K: Cobordism) -> tuple[tuple[BoundaryLabel, ...], ...]:
-    """The partition of boundary labels by connected component.
+def rho(K: Cobordism) -> tuple[tuple[int, ...], ...]:
+    """The partition of boundary labels by connected component: one
+    ascending tuple of labels per component, in component order.
 
-    Closed pieces carry no labels and do not appear.  The classes are
-    returned sorted, so two cobordisms have equal boundary partitions
-    iff the returned values compare equal.
+    Closed pieces carry no labels and do not appear.  Components are
+    ordered by their least label, so two cobordisms have equal boundary
+    partitions iff the returned values compare equal.
     """
-    classes = []
-    for c in K.components:
-        labels = tuple(sorted(
-            [BoundaryLabel(i, INGOING) for i in c.ingoing]
-            + [BoundaryLabel(j, OUTGOING) for j in c.outgoing]))
-        classes.append(labels)
-    return tuple(sorted(classes))
+    blocks: list[list[int]] = [[] for _ in K.components]
+    for x, idx in enumerate(owners(K)):
+        blocks[idx].append(x)
+    return tuple(map(tuple, blocks))
 
 
-def _check_label(K: Cobordism, b) -> BoundaryLabel:
-    b = BoundaryLabel(*b)
-    arity = K.n_in if b.side == INGOING else K.n_out
-    if b.side not in (INGOING, OUTGOING) or not 0 <= b.index < arity:
-        raise ValueError(f"no boundary circle {b} on a {K.n_in}->{K.n_out} cobordism")
-    return b
-
-
-def fill_hole(K: Cobordism, b) -> Cobordism:
-    """Cap the boundary circle `b` with a disk.
+def fill_hole(K: Cobordism, x: int) -> Cobordism:
+    """Cap the boundary circle with label `x` with a disk.
 
     An ingoing circle is filled by preceding K with id ⊗ E_{1,0,0} ⊗ id,
     an outgoing one by following it with id ⊗ E_{0,0,1} ⊗ id; the
     remaining circles on that side close up the index gap.
     """
-    b = _check_label(K, b)
-    if b.side == INGOING:
-        context = tensor(tensor(identity(b.index), e_block(1, 0, 0)),
-                         identity(K.n_in - b.index - 1))
+    if not 0 <= x < K.n_in + K.n_out:
+        raise ValueError(f"no boundary label {x} on a {K.n_in}->{K.n_out} "
+                         f"cobordism")
+    if x < K.n_in:
+        context = tensor(tensor(identity(x), e_block(1, 0, 0)),
+                         identity(K.n_in - x - 1))
         return compose(context, K)
-    context = tensor(tensor(identity(b.index), e_block(0, 0, 1)),
-                     identity(K.n_out - b.index - 1))
+    j = x - K.n_in
+    context = tensor(tensor(identity(j), e_block(0, 0, 1)),
+                     identity(K.n_out - j - 1))
     return compose(K, context)
 
 

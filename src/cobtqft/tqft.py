@@ -119,6 +119,19 @@ def _slots(d: int, circles: tuple[int, ...], n: int) -> tuple[int, ...]:
                  for digits in product(range(d), repeat=len(circles)))
 
 
+# The largest matrix the command line lets `evaluate` build, in entries:
+# the 3 -> 3 matrices under A, the largest the scan needs.
+MAX_EVAL_ENTRIES = 15 ** 6
+
+
+def check_matrix_size(a: FrobeniusAlgebra, n_in: int, n_out: int) -> None:
+    """ValueError when an n_in -> n_out matrix under `a` passes the limit."""
+    if a.dim ** (n_in + n_out) > MAX_EVAL_ENTRIES:
+        raise ValueError(f"a {n_in} -> {n_out} matrix under a {a.dim}-"
+                         f"dimensional algebra exceeds the limit of "
+                         f"{MAX_EVAL_ENTRIES} matrix entries")
+
+
 def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     """Apply the field theory of ``a`` to a cobordism."""
     ensure_verified(a)
@@ -178,13 +191,21 @@ ALGEBRAS = {
 }
 
 
+def read_json(path: str):
+    """The JSON in the file at `path`; ValueError if malformed or too deep."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_algebra(selector: str) -> FrobeniusAlgebra:
     """Resolve a table name or ``file:<path>`` to a verified algebra."""
     if selector in ALGEBRAS:
         algebra = ALGEBRAS[selector].build()
     elif selector.startswith("file:"):
-        with open(selector[5:]) as fh:
-            algebra = FrobeniusAlgebra.from_json_obj(json.load(fh))
+        algebra = FrobeniusAlgebra.from_json_obj(read_json(selector[5:]))
     else:
         raise ValueError(f"unknown algebra {selector!r}: expected one of "
                          f"{', '.join(ALGEBRAS)} or file:<path>")

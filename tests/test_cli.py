@@ -4,10 +4,12 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from cobtqft.cli import main
-from cobtqft.frobenius import MAX_INPUT_DIM, zqs3
+from cobtqft.cli import build_parser, main
+from cobtqft.faithfulness import ScanBounds
+from cobtqft.frobenius import (MAX_INPUT_DIM, FiniteGroup, group_algebra,
+                               zqs3)
 from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, e_block,
                              identity, tensor)
 
@@ -300,6 +302,33 @@ def test_scan_refuses_genus_bounds_above_the_limit(capsys):
     assert "genus 6000 exceeds the input limit 64" in err
 
 
+def test_scan_refuses_matrices_above_the_eval_limit(capsys, tmp_path):
+    # 16^6 entries pass the 15^6 limit of eval; the scan refuses before
+    # it enumerates the 3 -> 3 class, and scans at two circles
+    path = tmp_path / "c16.json"
+    path.write_text(group_algebra(FiniteGroup.cyclic(16)).to_json())
+    bounds = ["--max-genus", "0", "--max-closed", "0",
+              "--max-closed-genus", "0"]
+    code, out, err = run(capsys, "scan", "--algebra", f"file:{path}",
+                         "--max-circles", "3", *bounds)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "a 3 -> 3 matrix under a 16-dimensional algebra" in err
+    assert "11390625 matrix entries" in err
+    code, out, _ = run(capsys, "scan", "--algebra", f"file:{path}",
+                       "--max-circles", "2", *bounds)
+    assert code in (0, 1) and json.loads(out)["enumerated"] == 34
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    for argv in (["separate", "--left", str(path), "--right", str(path)],
+                 ["verify", "--algebra", f"file:{path}"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+
 def test_zsigmondy_limit(capsys):
     code, out, err = run(capsys, "zsigmondy", "--a", "2", "--b", "1",
                          "--n", "61")
@@ -434,3 +463,130 @@ def test_fuzz_verify_file_algebras(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("verify") / "algebra.json"
     path.write_text(json.dumps(obj))
     assert_clean_exit(*run_quietly(["verify", "--algebra", f"file:{path}"]))
+
+
+# --- property test: argv built from each subcommand's flags --------------
+
+# each flag draws a good value or a bad one: a number out of range or
+# malformed, an unknown algebra, a file that is missing, a directory or
+# not the JSON the flag wants.  File values are names that `argv_files`
+# resolves.
+def numbers(good, out_of_range):
+    return (st.sampled_from(good), st.sampled_from(
+        out_of_range + ["x", "", "1.5", "0x10", "-v"]))
+
+
+HUGE = str(10 ** 30)
+NUMBERS = numbers(["0", "1", "2", "3"], ["-1", "65", HUGE])
+# two or three circles only through the default, which `_costly_scan`
+# mostly filters out
+CIRCLES = numbers(["0", "1"], ["4", "-1", HUGE])
+ALGEBRA = (st.sampled_from(["A", "qz5", "zqs3", "file:algebra"]),
+           st.sampled_from(["nope", "", "file:", "file:missing", "file:dir",
+                            "file:deep", "file:text", "file:cobordism"]))
+TERM = (st.sampled_from(["delta ; mu", "mu", "eta * eta", "swap",
+                         "E[2,1,2]", "delta ; swap ; mu"]),
+        st.sampled_from(["id[6]", "E[1,65,1]", "mu @", "", "mu ; mu"]))
+OUTPUT = (st.just("result.json"),
+          st.sampled_from(["dir", "missing/result.json"]))
+COBORDISM_FILE = (st.sampled_from(["cobordism", "other"]),
+                  st.sampled_from(["algebra", "deep", "dir", "missing",
+                                   "text"]))
+
+# each subcommand's flags; scan bounds must either break a limit or
+# admit few cobordisms (see `_costly_scan`), and zsigmondy exponents stay
+# below 30 to keep trial division cheap
+SUBCOMMANDS = {
+    "eval": {"--algebra": ALGEBRA, "--term": TERM, "--output": OUTPUT},
+    "invariant": {"--algebra": ALGEBRA, "--genus": NUMBERS,
+                  "--output": OUTPUT},
+    "verify": {"--algebra": ALGEBRA},
+    "golden": {},
+    "scan": {"--algebra": ALGEBRA, "--max-circles": CIRCLES,
+             "--max-genus": NUMBERS, "--max-closed": NUMBERS,
+             "--max-closed-genus": NUMBERS, "--output": OUTPUT},
+    "zsigmondy": {"--a": numbers(["2", "3", "5"], ["1", "-1", HUGE]),
+                  "--b": numbers(["1", "2"], ["0", "-1", HUGE]),
+                  "--n": numbers([str(n) for n in range(1, 30)],
+                                 ["0", "-2"]),
+                  "--output": OUTPUT},
+    "separate": {"--left": COBORDISM_FILE, "--right": COBORDISM_FILE,
+                 "--output": OUTPUT},
+}
+
+FLAG_KINDS = st.sampled_from(["good"] * 6 + ["bad"] * 3 + ["bare", "missing"])
+
+
+@st.composite
+def argv_of_flags(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for flag, (good, bad) in SUBCOMMANDS[command].items():
+        kind = draw(FLAG_KINDS)
+        if kind != "missing":
+            argv.append(flag)
+        if kind in ("good", "bad"):
+            argv.append(draw(good if kind == "good" else bad))
+    if draw(st.integers(0, 9)) == 0:  # a stray argument
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--nope", "-x", "7", "--"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    for name, text in (
+            ("cobordism", json.dumps(e_block(1, 1, 1).to_json_obj())),
+            ("other", json.dumps(e_block(1, 0, 2).to_json_obj())),
+            ("algebra", zqs3().to_json()), ("deep", "[" * 200_000),
+            ("text", "not json")):
+        (folder / name).write_text(text)
+    (folder / "dir").mkdir()
+    return folder
+
+
+def _resolve(argv, folder):
+    """Point the symbolic file values of argv into `folder`."""
+    names = {"cobordism", "other", "algebra", "deep", "dir", "missing",
+             "text", "result.json", "missing/result.json"}
+    out = []
+    for value in argv:
+        if value in names:
+            value = str(folder / value)
+        elif value.startswith("file:") and value[5:] in names:
+            value = f"file:{folder / value[5:]}"
+        out.append(value)
+    return out
+
+
+def _costly_scan(argv) -> bool:
+    """Whether argv is a valid scan over more than 100 cobordisms."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    if args.command != "scan":
+        return False
+    try:
+        bounds = ScanBounds(args.max_circles, args.max_genus,
+                            args.max_closed, args.max_closed_genus)
+    except ValueError:
+        return False
+    return bounds.cobordism_count() > 100
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv_of_flags())
+def test_fuzz_cli_arguments(argv_files, argv):
+    argv = _resolve(argv, argv_files)
+    assume(not _costly_scan(argv))
+    try:
+        code, err = run_quietly(argv)
+    except SystemExit as exit_:  # argparse: a usage error
+        assert exit_.code == 2, argv
+        event(f"{argv[0]}: usage error")
+        return
+    event(f"{argv[0]}: exit {code}")
+    assert_clean_exit(code, err)

@@ -14,9 +14,8 @@ from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, ExceptionalTriple,
                                   separating_closure, zsigmondy_witness)
 from cobtqft.frobenius import faithful_algebra, qz5
 from cobtqft import surface
-from cobtqft.surface import (INGOING, OUTGOING, BoundaryLabel, Cobordism,
-                             component, e_block, identity, permutation,
-                             tensor)
+from cobtqft.surface import (Cobordism, component, e_block, identity,
+                             permutation, tensor)
 from cobtqft.tqft import load_algebra
 
 
@@ -159,16 +158,15 @@ def test_separating_closure_exhaustive_over_small_bounds():
 def _reference_separating_closure(K, L):
     """The separation case analysis written out directly on boundary
     partitions (`surface.rho`), per-label dictionaries and label pairs:
-    the reference that the module's precomputed tuples must match."""
+    the reference that the module's precomputed tuples must match.
+    Label i is ingoing circle i, label n_in + j outgoing circle j."""
     comp_k, genus_k, comp_l, genus_l = {}, {}, {}, {}
     for X, comp_of, genus_of in ((K, comp_k, genus_k), (L, comp_l, genus_l)):
         for idx, c in enumerate(X.components):
-            for label in ([BoundaryLabel(i, INGOING) for i in c.ingoing]
-                          + [BoundaryLabel(j, OUTGOING) for j in c.outgoing]):
+            for label in c.ingoing + tuple(X.n_in + j for j in c.outgoing):
                 comp_of[label] = idx
                 genus_of[label] = c.genus
-    labels = ([BoundaryLabel(i, INGOING) for i in range(K.n_in)]
-              + [BoundaryLabel(j, OUTGOING) for j in range(K.n_out)])
+    labels = range(K.n_in + K.n_out)
     if surface.rho(K) == surface.rho(L):
         diff = next((x for x in labels if genus_k[x] != genus_l[x]), None)
         if diff is None:
@@ -185,16 +183,14 @@ def _reference_separating_closure(K, L):
 
 
 def _reference_fill(K, kept):
-    filled_in = 0
-    for i in range(K.n_in):
-        if BoundaryLabel(i, INGOING) not in kept:
-            K = surface.fill_hole(K, BoundaryLabel(i - filled_in, INGOING))
-            filled_in += 1
-    filled_out = 0
-    for j in range(K.n_out):
-        if BoundaryLabel(j, OUTGOING) not in kept:
-            K = surface.fill_hole(K, BoundaryLabel(j - filled_out, OUTGOING))
-            filled_out += 1
+    """Fill every circle of K whose label is not in `kept`.  Filling a
+    circle shifts the labels after it down by one, so the circle with
+    label x of the original K has label x - filled when its turn comes."""
+    filled = 0
+    for x in range(K.n_in + K.n_out):
+        if x not in kept:
+            K = surface.fill_hole(K, x - filled)
+            filled += 1
     return K
 
 
@@ -267,23 +263,20 @@ def test_closing_context_matches_the_reference_for_every_choice():
                         max_closed_genus=1)
     checked = 0
     for K in enumerate_cobordisms(bounds):
-        labels = ([BoundaryLabel(i, INGOING) for i in range(K.n_in)]
-                  + [BoundaryLabel(j, OUTGOING) for j in range(K.n_out)])
+        labels = range(K.n_in + K.n_out)
         zeros = (0,) * len(labels)
         assert _closing_context(K, zeros) \
             == GenusMultiset(_reference_fill(K, ()).closed_genera)
         for a in range(1, 4):
-            for x, label in enumerate(labels):
+            for x in labels:
                 caps = zeros[:x] + (2 * a,) + zeros[x + 1:]
                 assert _closing_context(K, caps) \
-                    == _reference_close(K, (label,), a), (K, label, a)
+                    == _reference_close(K, (x,), a), (K, x, a)
                 checked += 1
-            for (x, lx), (y, ly) in itertools.combinations(
-                    enumerate(labels), 2):
-                caps = tuple(a if z in (x, y) else 0
-                             for z in range(len(labels)))
+            for x, y in itertools.combinations(labels, 2):
+                caps = tuple(a if z in (x, y) else 0 for z in labels)
                 assert _closing_context(K, caps) \
-                    == _reference_close(K, (lx, ly), a), (K, lx, ly, a)
+                    == _reference_close(K, (x, y), a), (K, x, y, a)
                 checked += 1
     assert checked > 10000
 

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
-from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS,
-                             BoundaryLabel, Cobordism,
+from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, Cobordism,
                              closure, component, compose, e_block, fill_hole,
-                             identity, permutation, rho, routing, stretch1,
-                             stretch1_dual, stretch2, stretch2_dual, tensor)
+                             identity, owners, permutation, rho, routing,
+                             stretch1, stretch1_dual, stretch2, stretch2_dual,
+                             tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
@@ -138,33 +138,46 @@ def test_euler_characteristic_additive_under_compose():
 def test_rho():
     K = Cobordism(3, 4, [component((0, 2), (0, 2), 2),
                          component((1,), (1, 3), 0)], (1,))
-    assert rho(K) == (
-        (BoundaryLabel(0, 0), BoundaryLabel(0, 1),
-         BoundaryLabel(2, 0), BoundaryLabel(2, 1)),
-        (BoundaryLabel(1, 0), BoundaryLabel(1, 1), BoundaryLabel(3, 1)))
-    assert rho(identity(2)) == (
-        (BoundaryLabel(0, 0), BoundaryLabel(0, 1)),
-        (BoundaryLabel(1, 0), BoundaryLabel(1, 1)))
+    assert owners(K) == (0, 1, 0, 0, 1, 0, 1)
+    assert rho(K) == ((0, 2, 3, 5), (1, 4, 6))
+    assert rho(identity(2)) == ((0, 2), (1, 3))
     assert rho(e_block(0, 4, 0)) == ()
+    # a component with outgoing circles only is ordered by n_in + its
+    # least outgoing circle
+    assert rho(Cobordism(1, 2, [component((), (0,), 0),
+                                component((0,), (1,), 1)])) == ((0, 2), (1,))
+
+
+def test_rho_blocks_are_the_owner_classes():
+    for K in small_enumeration():
+        owner = owners(K)
+        assert len(owner) == K.n_in + K.n_out
+        block_of = {x: b for b, block in enumerate(rho(K)) for x in block}
+        assert sorted(block_of) == list(range(K.n_in + K.n_out))
+        for x, y in itertools.combinations(range(K.n_in + K.n_out), 2):
+            assert (block_of[x] == block_of[y]) == (owner[x] == owner[y])
 
 
 def test_fill_hole():
-    sphere = fill_hole(fill_hole(identity(1), BoundaryLabel(0, 0)),
-                       BoundaryLabel(0, 1))
+    sphere = fill_hole(fill_hole(identity(1), 0), 0)
     assert sphere == e_block(0, 0, 0)
-    assert fill_hole(e_block(1, 1, 1), BoundaryLabel(0, 0)) == e_block(1, 1, 0)
-    assert fill_hole(e_block(0, 0, 2), BoundaryLabel(1, 0)) == e_block(0, 0, 1)
+    assert fill_hole(identity(1), 1) == e_block(0, 0, 1)
+    assert fill_hole(e_block(1, 1, 1), 0) == e_block(1, 1, 0)
+    assert fill_hole(e_block(0, 0, 2), 1) == e_block(0, 0, 1)
+    for x in (2, -1):
+        with pytest.raises(ValueError, match=f"no boundary label {x}"):
+            fill_hole(identity(1), x)
     with pytest.raises(ValueError):
-        fill_hole(identity(1), BoundaryLabel(1, 0))
+        fill_hole(e_block(0, 0, 0), 0)
 
 
 def test_fill_hole_is_the_capping_context():
     # explicit context composition agrees hole by hole
     K = Cobordism(2, 2, [component((0,), (1,), 1), component((1,), (0,), 0)])
     ctx = tensor(tensor(identity(1), e_block(1, 0, 0)), identity(0))
-    assert fill_hole(K, BoundaryLabel(1, 0)) == compose(ctx, K)
+    assert fill_hole(K, 1) == compose(ctx, K)
     ctx = tensor(tensor(identity(0), e_block(0, 0, 1)), identity(1))
-    assert fill_hole(K, BoundaryLabel(0, 1)) == compose(K, ctx)
+    assert fill_hole(K, 2) == compose(K, ctx)
 
 
 def test_stretch1():
