@@ -40,6 +40,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def cmd_eval(args) -> int:
     algebra = load_algebra(args.algebra)
+    tqft.ensure_verified(algebra)  # an axiom failure comes before term errors
     K = diagram.elaborate(diagram.parse(args.term))
     surface.check_input_genus(K.max_genus())
     tqft.check_matrix_size(algebra, K.n_in, K.n_out)

@@ -11,7 +11,8 @@ There is no floating point anywhere in this package.
 
 JSON form: ``{"rows": R, "cols": C, "entries": [[r, c, "p/q"], ...]}``
 with entries sorted row-major and ``/q`` omitted when the denominator
-is 1.
+is 1.  Errors about JSON input name the field and its JSON type
+(:func:`json_type`), never the value, whose size is unbounded.
 """
 
 from __future__ import annotations
@@ -19,6 +20,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from typing import Sequence
+
+
+_JSON_TYPES = {"dict": "object", "list": "array", "str": "string",
+               "int": "integer", "float": "number", "bool": "boolean",
+               "NoneType": "null"}
+
+
+def json_type(value) -> str:
+    """The JSON type name of a value parsed from JSON."""
+    name = type(value).__name__
+    return _JSON_TYPES.get(name, name)
 
 
 class RationalMatrix:
@@ -126,17 +138,20 @@ class RationalMatrix:
             raise ValueError('a matrix must be {"rows": R, "cols": C, '
                              '"entries": [...]}')
         entries = {}
-        for entry in obj["entries"]:
+        for n, entry in enumerate(obj["entries"]):
             if not (isinstance(entry, list) and len(entry) == 3
                     and type(entry[0]) is int and type(entry[1]) is int
                     and isinstance(entry[2], str)):
-                raise ValueError(f'matrix entry {entry!r} is not '
-                                 f'[row, col, "p/q"]')
+                got = (f"[{', '.join(map(json_type, entry))}]"
+                       if isinstance(entry, list) and len(entry) <= 3
+                       else json_type(entry))
+                raise ValueError(f'matrix entry {n} must be [integer row, '
+                                 f'integer col, "p/q" string], got {got}')
             try:
                 entries[entry[0], entry[1]] = Fraction(entry[2])
-            except ZeroDivisionError:
-                raise ValueError(f"matrix entry {entry!r} divides by zero") \
-                    from None
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f'matrix entry {n}: the value is not a '
+                                 f'rational "p/q" with q nonzero') from None
         return cls(obj["rows"], obj["cols"], entries)
 
     @classmethod

@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import surface
 from .surface import Cobordism
-from .tqft import (check_matrix_size, closed_invariant, evaluate,
-                   load_algebra)
+from .tqft import (check_matrix_size, closed_invariant, ensure_verified,
+                   evaluate, load_algebra)
 
 
 class GenusMultiset(NamedTuple):
@@ -383,11 +383,12 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
     and the first collision is reported; cross-arity pairs differ by
     shape and are counted without further work.  Bounds whose largest
     matrices would exceed ``tqft.MAX_EVAL_ENTRIES`` raise ValueError
-    before anything is enumerated.
+    before the axioms are checked or anything is enumerated.
     """
     a = load_algebra(algebra)
     check_matrix_size(a, bounds.max_circles, bounds.max_circles)
-    reference = load_algebra("A")
+    ensure_verified(a)
+    reference = load_algebra("A")  # compared, so it need not be verified
     cross_check = all(getattr(a, name) == getattr(reference, name)
                       for name in ("mul", "unit", "comul", "counit"))
     every = enumerate_cobordisms(bounds)

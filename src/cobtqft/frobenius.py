@@ -1,12 +1,18 @@
 """Commutative Frobenius algebras over the exact rationals.
 
-Provides group algebras of abelian groups, centers of group algebras
-(with the conjugacy-class-sum basis), tensor products of algebras, and
-an exact axiom checker.  The two concrete instances everything else is
-built from are the group algebra of the cyclic group of order 5 and
+Provides centers of group algebras (on the conjugacy-class-sum
+basis), group algebras of abelian groups, tensor products of algebras,
+and an exact axiom checker.  The two concrete instances everything else
+is built from are the group algebra of the cyclic group of order 5 and
 the center of the group algebra of the symmetric group of degree 3;
 their tensor product is the 15-dimensional algebra whose field theory
 the faithfulness scan certifies.
+
+An abelian group algebra is its own center, so ``group_algebra`` is
+``center_of_group_algebra`` with the counit scaled by the group order
+|G| and the comultiplication by 1/|G|.  With that counit the handle
+operator mul∘comul is the identity, and a closed genus-g surface
+evaluates to |G| for every g.
 
 Matrix conventions: a d-dimensional algebra has
 ``mul: d x d^2``, ``unit: d x 1``, ``comul: d^2 x d``, ``counit: 1 x d``,
@@ -19,18 +25,17 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .exact import RationalMatrix, kron, mat_mul, swap_matrix
+from .exact import RationalMatrix, json_type, kron, mat_mul, swap_matrix
 
 
 class FiniteGroup:
     """A finite group given by its Cayley table on element indices."""
 
-    __slots__ = ("order", "table", "identity", "names")
+    __slots__ = ("order", "table", "identity")
 
-    def __init__(self, table: Sequence[Sequence[int]],
-                 names: Optional[Sequence[str]] = None):
+    def __init__(self, table: Sequence[Sequence[int]]):
         n = len(table)
         rows = tuple(tuple(row) for row in table)
         for row in rows:
@@ -55,12 +60,6 @@ class FiniteGroup:
         self.order = n
         self.table = rows
         self.identity = identity
-        self.names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
-        if len(self.names) != n:
-            raise ValueError("need one name per element")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     def inverse(self, a: int) -> int:
         return self.table[a].index(self.identity)
@@ -86,8 +85,7 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
-        names = ["e"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)], names)
+        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
@@ -96,25 +94,7 @@ class FiniteGroup:
         index = {p: i for i, p in enumerate(elements)}
         table = [[index[tuple(p[q[x]] for x in range(n))] for q in elements]
                  for p in elements]
-        return cls(table, [_cycle_name(p) for p in elements])
-
-
-def _cycle_name(p: Sequence[int]) -> str:
-    # cycle notation on 1-based points, fixed points dropped
-    seen = set()
-    out = []
-    for start in range(len(p)):
-        if start in seen or p[start] == start:
-            continue
-        cycle = [start]
-        seen.add(start)
-        x = p[start]
-        while x != start:
-            cycle.append(x)
-            seen.add(x)
-            x = p[x]
-        out.append("(" + "".join(str(i + 1) for i in cycle) + ")")
-    return "".join(out) or "e"
+        return cls(table)
 
 
 # The largest dimension of an algebra read from JSON: the axiom check
@@ -130,11 +110,10 @@ class FrobeniusAlgebra:
     this module all produce instances that pass.
     """
 
-    __slots__ = ("dim", "mul", "unit", "comul", "counit", "basis_names")
+    __slots__ = ("dim", "mul", "unit", "comul", "counit")
 
     def __init__(self, dim: int, mul: RationalMatrix, unit: RationalMatrix,
-                 comul: RationalMatrix, counit: RationalMatrix,
-                 basis_names: Optional[Sequence[str]] = None):
+                 comul: RationalMatrix, counit: RationalMatrix):
         if mul.shape != (dim, dim * dim):
             raise ValueError(f"mul must be {dim}x{dim * dim}, got {mul.shape}")
         if unit.shape != (dim, 1):
@@ -148,16 +127,12 @@ class FrobeniusAlgebra:
         self.unit = unit
         self.comul = comul
         self.counit = counit
-        self.basis_names = (tuple(basis_names) if basis_names
-                            else tuple(f"b{i}" for i in range(dim)))
-        if len(self.basis_names) != dim:
-            raise ValueError("need one basis name per dimension")
 
     def __repr__(self) -> str:
-        return f"FrobeniusAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
+        return f"FrobeniusAlgebra(dim={self.dim})"
 
     def to_json_obj(self) -> dict:
-        return {"dim": self.dim, "basis": list(self.basis_names),
+        return {"dim": self.dim,
                 "mul": self.mul.to_json_obj(), "unit": self.unit.to_json_obj(),
                 "comul": self.comul.to_json_obj(),
                 "counit": self.counit.to_json_obj()}
@@ -171,24 +146,20 @@ class FrobeniusAlgebra:
         MAX_INPUT_DIM, raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"an algebra must be a JSON object, "
-                             f"got {type(obj).__name__}")
+                             f"got {json_type(obj)}")
         if type(obj.get("dim")) is not int:
             raise ValueError(f"algebra field 'dim' must be an integer, "
-                             f"got {obj.get('dim')!r}")
+                             f"got {json_type(obj.get('dim'))}")
         if obj["dim"] > MAX_INPUT_DIM:
             raise ValueError(f"algebra dimension {obj['dim']} exceeds the "
                              f"input limit {MAX_INPUT_DIM}")
-        basis = obj.get("basis")
-        if basis is not None and not (isinstance(basis, list) and all(
-                isinstance(name, str) for name in basis)):
-            raise ValueError("algebra field 'basis' must be a list of strings")
         maps = []
         for field in ("mul", "unit", "comul", "counit"):
             try:
                 maps.append(RationalMatrix.from_json_obj(obj.get(field)))
             except ValueError as err:
                 raise ValueError(f"algebra field {field!r}: {err}") from None
-        return cls(obj["dim"], *maps, basis)
+        return cls(obj["dim"], *maps)
 
 
 class PairingData(NamedTuple):
@@ -206,28 +177,6 @@ class AxiomReport(NamedTuple):
     @property
     def failures(self) -> tuple[str, ...]:
         return tuple(name for name, ok in self.results if not ok)
-
-
-def group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
-    """The group algebra of an abelian group.
-
-    Basis: the group elements.  The multiplication linearizes the Cayley
-    table, the counit sends the identity element to the group order and
-    every other element to 0, and the comultiplication is the transposed
-    multiplication scaled by 1/order.
-    """
-    if not g.is_abelian():
-        raise ValueError("group algebra of a non-abelian group is not a "
-                         "commutative Frobenius algebra; use "
-                         "center_of_group_algebra instead")
-    n = g.order
-    one = Fraction(1)
-    mul = RationalMatrix(n, n * n, {(g.mul(a, b), a * n + b): one
-                                    for a in range(n) for b in range(n)})
-    unit = RationalMatrix(n, 1, {(g.identity, 0): one})
-    counit = RationalMatrix(1, n, {(0, g.identity): Fraction(n)})
-    comul = mul.transpose().scale(Fraction(1, n))
-    return FrobeniusAlgebra(n, mul, unit, comul, counit, g.names)
 
 
 def center_of_group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
@@ -263,8 +212,27 @@ def center_of_group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
     counit = RationalMatrix(
         1, d, {(0, class_of[g.identity]): Fraction(1)})
     comul = _comul_from_pairing(d, mul, counit)
-    names = ["+".join(g.names[x] for x in cls) for cls in classes]
-    return FrobeniusAlgebra(d, mul, unit, comul, counit, names)
+    return FrobeniusAlgebra(d, mul, unit, comul, counit)
+
+
+def group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
+    """The group algebra of an abelian group, on the basis of its elements.
+
+    An abelian group's conjugacy classes are its single elements (the
+    identity first, then by index), so this is
+    :func:`center_of_group_algebra` with the counit multiplied by the
+    group order |G| and the comultiplication divided by it.  The counit
+    is then |G| at the identity element, and the handle operator
+    mul∘comul is the identity.
+    """
+    if not g.is_abelian():
+        raise ValueError("group algebra of a non-abelian group is not a "
+                         "commutative Frobenius algebra; use "
+                         "center_of_group_algebra instead")
+    z = center_of_group_algebra(g)
+    n = Fraction(g.order)
+    return FrobeniusAlgebra(z.dim, z.mul, z.unit, z.comul.scale(1 / n),
+                            z.counit.scale(n))
 
 
 def _invert_dense(b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -319,8 +287,7 @@ def tensor_algebra(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra
     comul = mat_mul(shuffle, kron(a.comul, b.comul))
     unit = kron(a.unit, b.unit)
     counit = kron(a.counit, b.counit)
-    names = [f"{x}⊗{y}" for x in a.basis_names for y in b.basis_names]
-    return FrobeniusAlgebra(da * db, mul, unit, comul, counit, names)
+    return FrobeniusAlgebra(da * db, mul, unit, comul, counit)
 
 
 def verify_frobenius(a: FrobeniusAlgebra) -> AxiomReport:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
+from .exact import json_type
+
 # The largest genus accepted from input (words, cobordism JSON and
 # `invariant --genus`): evaluating a genus-k piece multiplies k handle
 # operators, and its closed-form value holds 2^(2k-1).
@@ -92,10 +94,10 @@ class Cobordism:
             seen_out.extend(c.outgoing)
         if sorted(seen_in) != list(range(n_in)):
             raise ValueError(
-                f"ingoing circles {sorted(seen_in)} do not partition 0..{n_in - 1}")
+                f"the ingoing circles do not partition 0..{n_in - 1}")
         if sorted(seen_out) != list(range(n_out)):
             raise ValueError(
-                f"outgoing circles {sorted(seen_out)} do not partition 0..{n_out - 1}")
+                f"the outgoing circles do not partition 0..{n_out - 1}")
         if any(g < 0 for g in closed):
             raise ValueError("negative closed genus")
         self.n_in = n_in
@@ -149,7 +151,7 @@ class Cobordism:
         raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"a cobordism must be a JSON object, "
-                             f"got {type(obj).__name__}")
+                             f"got {json_type(obj)}")
         comps = obj.get("components")
         if not (isinstance(comps, list)
                 and all(isinstance(c, dict) for c in comps)):
@@ -173,14 +175,14 @@ class Cobordism:
 def _json_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"cobordism field {field!r} must be an integer, "
-                         f"got {value!r}")
+                         f"got {json_type(value)}")
     return value
 
 
 def _json_ints(value, field: str) -> list[int]:
     if not isinstance(value, list):
         raise ValueError(f"cobordism field {field!r} must be a list of "
-                         f"integers, got {value!r}")
+                         f"integers, got {json_type(value)}")
     return [_json_int(v, field) for v in value]
 
 

@@ -16,7 +16,8 @@ The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
 of the closed genus-k surface, ``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for
 the faithful 15-dimensional algebra ``A``; ``load_algebra`` resolves a
-table name or ``file:<path>`` to a verified algebra.  The closed-form
+table name or ``file:<path>`` to an algebra, and ``ensure_verified``
+(which ``evaluate`` calls) checks its axioms once.  The closed-form
 handle power of the center of the symmetric-group algebra lives here
 too.
 
@@ -201,16 +202,17 @@ def read_json(path: str):
 
 
 def load_algebra(selector: str) -> FrobeniusAlgebra:
-    """Resolve a table name or ``file:<path>`` to a verified algebra."""
+    """Resolve a table name or ``file:<path>`` to an algebra.
+
+    The axioms are not checked here: :func:`ensure_verified` does that,
+    and :func:`evaluate` calls it.
+    """
     if selector in ALGEBRAS:
-        algebra = ALGEBRAS[selector].build()
-    elif selector.startswith("file:"):
-        algebra = FrobeniusAlgebra.from_json_obj(read_json(selector[5:]))
-    else:
-        raise ValueError(f"unknown algebra {selector!r}: expected one of "
-                         f"{', '.join(ALGEBRAS)} or file:<path>")
-    ensure_verified(algebra)
-    return algebra
+        return ALGEBRAS[selector].build()
+    if selector.startswith("file:"):
+        return FrobeniusAlgebra.from_json_obj(read_json(selector[5:]))
+    raise ValueError(f"unknown algebra {selector!r}: expected one of "
+                     f"{', '.join(ALGEBRAS)} or file:<path>")
 
 
 def closed_invariant(name: str, k: int) -> Fraction:

@@ -14,6 +14,10 @@ from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, e_block,
                              identity, tensor)
 
 
+# an error is one line, and never echoes an input value at length
+MAX_ERROR_BYTES = 300
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -96,8 +100,10 @@ def test_verify_exit_codes(capsys, tmp_path):
 
 @pytest.fixture
 def verify_calls(monkeypatch):
-    """The algebras passed to verify_frobenius, wherever it is called from."""
-    from cobtqft import frobenius
+    """The algebras passed to verify_frobenius, wherever it is called from,
+    counted from an empty axiom-report cache."""
+    from cobtqft import frobenius, tqft
+    tqft._axioms.cache_clear()
     calls = []
     original = frobenius.verify_frobenius
 
@@ -128,6 +134,25 @@ def test_file_algebra_verified_once_per_verify(capsys, tmp_path, verify_calls):
     assert code == 0
     assert out.count("pass") == 9 and "FAIL" not in out
     assert len(verify_calls) == 1
+
+
+def test_scan_verifies_only_the_scanned_algebra(capsys, tmp_path,
+                                                verify_calls):
+    # A's matrices are compared with the scanned algebra's, not verified
+    code, _, _ = run(capsys, "scan", "--algebra", "qz5", "--max-circles",
+                     "1", "--max-genus", "1", "--max-closed", "1",
+                     "--max-closed-genus", "1")
+    assert code == 1
+    assert [a.dim for a in verify_calls] == [5]
+    # the matrix-size limit refuses before the axioms are checked
+    verify_calls.clear()
+    path = tmp_path / "c16.json"
+    path.write_text(group_algebra(FiniteGroup.cyclic(16)).to_json())
+    code, _, err = run(capsys, "scan", "--algebra", f"file:{path}",
+                       "--max-circles", "3", "--max-genus", "0",
+                       "--max-closed", "0", "--max-closed-genus", "0")
+    assert code == 2 and "matrix entries" in err
+    assert verify_calls == []
 
 
 def test_verify_file_algebra_round_trip(capsys, tmp_path):
@@ -197,6 +222,39 @@ def test_separate_rejects_a_non_integer_genus(capsys, tmp_path):
                          "--right", str(right))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "genus" in err
+
+
+def test_errors_do_not_echo_long_input_values(capsys, tmp_path):
+    cases = []
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"dim": "x" * 10 ** 6}))
+    cases.append((["verify", "--algebra", f"file:{path}"],
+                  "'dim' must be an integer, got string"))
+    ok, bad = tmp_path / "ok.json", tmp_path / "genus.json"
+    ok.write_text(json.dumps(e_block(1, 0, 1).to_json_obj()))
+    obj = e_block(1, 1, 1).to_json_obj()
+    obj["components"][0]["genus"] = "y" * 10 ** 6
+    bad.write_text(json.dumps(obj))
+    cases.append((["separate", "--left", str(bad), "--right", str(ok)],
+                  "'components[0].genus' must be an integer, got string"))
+    circles = tmp_path / "circles.json"
+    obj = e_block(1, 1, 1).to_json_obj()
+    obj["components"][0]["in"] = [0] * 10 ** 6
+    circles.write_text(json.dumps(obj))
+    cases.append((["separate", "--left", str(circles), "--right", str(ok)],
+                  "ingoing circles do not partition 0..0"))
+    path = tmp_path / "row.json"
+    obj = zqs3().to_json_obj()
+    obj["mul"]["entries"][0][0] = "z" * 10 ** 6
+    path.write_text(json.dumps(obj))
+    cases.append((["verify", "--algebra", f"file:{path}"],
+                  "matrix entry 0 must be [integer row, integer col, "
+                  '"p/q" string], got [string, integer, string]'))
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[0]
+        assert len(err.splitlines()) == 1 and message in err
+        assert len(err.encode()) < MAX_ERROR_BYTES, err[:MAX_ERROR_BYTES]
 
 
 def test_file_algebra_must_be_a_json_object(capsys, tmp_path):
@@ -348,6 +406,7 @@ def assert_clean_exit(code, err):
     assert code in (0, 1, 2)
     if code:
         assert len(err.splitlines()) == 1, err
+        assert len(err.encode()) < MAX_ERROR_BYTES, err
 
 
 ATOMS = st.one_of(

@@ -1,6 +1,9 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +21,25 @@ def test_no_assert_statements_in_src():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_optimized_command_line_keeps_the_certificate():
+    # the same certificate bytes, and a passing golden check, with the
+    # assert statements stripped; this also runs `python -m cobtqft`
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-O", "-m", "cobtqft", *argv],
+                              cwd=ROOT, env=env, capture_output=True,
+                              timeout=300)
+
+    scan = run("scan", "--max-circles", "2", "--max-genus", "1",
+               "--max-closed", "1", "--max-closed-genus", "1")
+    assert scan.returncode == 0, scan.stderr
+    assert hashlib.sha256(scan.stdout).hexdigest() == (
+        "e266bb0a569a6161e06ac854de576bce58455c605019377b7e8a8a2bcc62270d")
+    golden = run("golden")
+    assert golden.returncode == 0, golden.stdout
 
 
 def test_no_floats_in_src():
