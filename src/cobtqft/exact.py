@@ -5,7 +5,15 @@ arbitrary-precision rational kept in lowest terms with a positive
 denominator.  A matrix stores only its nonzero entries in a dict
 ``(row, col) -> Fraction``: evaluating field theories on two or three
 circles produces matrices with 225 to 3375 columns that are mostly
-zero, and the sparse form keeps exact multiplication cheap.
+zero.  Matrix values are ints or Fractions (anything else is a
+TypeError), so no binary fraction or string slips in.
+
+``mat_mul`` and ``kron`` multiply no Fractions: they read each factor
+as integer numerators over the lcm of its denominators, accumulate
+plain ints, and divide by the product of the two denominators once,
+with one reduced Fraction per distinct numerator, shared by the entries
+that have it (Fractions are immutable), and no zero left by
+cancellation.
 
 There is no floating point anywhere in this package.
 
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -33,6 +42,14 @@ def json_type(value) -> str:
     return _JSON_TYPES.get(name, name)
 
 
+def _rational(value) -> Fraction:
+    """`value` as a Fraction; TypeError unless it is an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"a matrix value must be an int or a Fraction, "
+                        f"got {type(value).__name__}")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class RationalMatrix:
     """A sparse ``rows x cols`` matrix over the rationals.
 
@@ -44,15 +61,15 @@ class RationalMatrix:
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
-            raise ValueError(f"negative shape {rows}x{cols}")
+            raise ValueError("a matrix shape must be nonnegative")
         self.rows = rows
         self.cols = cols
         data: dict[tuple[int, int], Fraction] = {}
         if entries:
             for (r, c), value in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-                v = value if isinstance(value, Fraction) else Fraction(value)
+                    raise ValueError("an entry lies outside the matrix")
+                v = _rational(value)
                 if v:
                     data[r, c] = v
         self.entries = data
@@ -81,7 +98,7 @@ class RationalMatrix:
             if len(row) != m:
                 raise ValueError("ragged rows")
             for j, value in enumerate(row):
-                v = value if isinstance(value, Fraction) else Fraction(value)
+                v = _rational(value)
                 if v:
                     data[i, j] = v
         return cls._adopt(n, m, data)
@@ -111,7 +128,7 @@ class RationalMatrix:
             {(c, r): v for (r, c), v in self.entries.items()})
 
     def scale(self, s) -> "RationalMatrix":
-        s = s if isinstance(s, Fraction) else Fraction(s)
+        s = _rational(s)
         if not s:
             return RationalMatrix._adopt(self.rows, self.cols, {})
         return RationalMatrix._adopt(
@@ -159,27 +176,40 @@ class RationalMatrix:
         return cls.from_json_obj(json.loads(text))
 
 
+def _numerators(m: RationalMatrix) -> tuple[int, dict]:
+    """``(d, {(r, c): n})``: every entry of ``m`` as ``n / d``, with ``d``
+    the lcm of the entries' denominators."""
+    d = lcm(*{v.denominator for v in m.entries.values()})
+    return d, {k: v.numerator * (d // v.denominator)
+               for k, v in m.entries.items()}
+
+
+def _from_numerators(rows: int, cols: int, nums: dict,
+                     d: int) -> RationalMatrix:
+    """The matrix with entries ``n / d``, zeros dropped; entries with the
+    same numerator share one Fraction."""
+    value = {n: Fraction(n, d) for n in set(nums.values()) if n}
+    return RationalMatrix._adopt(
+        rows, cols, {k: value[n] for k, n in nums.items() if n})
+
+
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product ``a · b``."""
     if a.cols != b.rows:
         raise ValueError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
             "inner dimensions differ")
+    da, na = _numerators(a)
+    db, nb = _numerators(b)
     # group the left factor by column so each nonzero of b is touched once
     cols_of_a: dict[int, list] = {}
-    for (i, j), v in a.entries.items():
+    for (i, j), v in na.items():
         cols_of_a.setdefault(j, []).append((i, v))
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (j, k), w in b.entries.items():
-        hits = cols_of_a.get(j)
-        if not hits:
-            continue
-        for i, v in hits:
-            key = (i, k)
-            s = acc.get(key)
-            acc[key] = v * w if s is None else s + v * w
-    return RationalMatrix._adopt(
-        a.rows, b.cols, {k: v for k, v in acc.items() if v})
+    acc: dict[tuple[int, int], int] = {}
+    for (j, k), w in nb.items():
+        for i, v in cols_of_a.get(j, ()):
+            acc[i, k] = acc.get((i, k), 0) + v * w
+    return _from_numerators(a.rows, b.cols, acc, da * db)
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -190,13 +220,15 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     ``b1⊗b1, b1⊗b2, ..., bn⊗bn`` used for all tensor-product bases here.
     """
     br, bc = b.rows, b.cols
+    da, na = _numerators(a)
+    db, nb = _numerators(b)
     data = {}
-    for (ia, ja), va in a.entries.items():
+    for (ia, ja), va in na.items():
         rbase = ia * br
         cbase = ja * bc
-        for (ib, jb), vb in b.entries.items():
+        for (ib, jb), vb in nb.items():
             data[rbase + ib, cbase + jb] = va * vb
-    return RationalMatrix._adopt(a.rows * br, a.cols * bc, data)
+    return _from_numerators(a.rows * br, a.cols * bc, data, da * db)
 
 
 def swap_matrix(d1: int, d2: int) -> RationalMatrix:

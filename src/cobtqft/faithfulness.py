@@ -91,15 +91,14 @@ def zsigmondy_witness(a: int, b: int, n: int) -> int:
     single triple without such a prime.
     """
     if not (a > b >= 1):
-        raise ValueError(f"need a > b >= 1, got a={a}, b={b}")
+        raise ValueError("need a > b >= 1")
     if math.gcd(a, b) != 1:
-        raise ValueError(f"a={a} and b={b} are not coprime")
+        raise ValueError("a and b are not coprime")
     if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+        raise ValueError("need n >= 1")
     # a >= 2, so n >= 48 already gives a^n >= 2^48
     if n >= 48 or a ** n + b ** n >= ZSIGMONDY_LIMIT:
-        raise ValueError(f"{a}^{n} + {b}^{n} is at least 2^48, beyond "
-                         f"trial division")
+        raise ValueError("a^n + b^n is at least 2^48, beyond trial division")
     if (n, a, b) == (3, 2, 1):
         raise ExceptionalTriple(
             "2^3 + 1^3 = 9: every prime divisor already divides 2^1 + 1^1")
@@ -270,7 +269,7 @@ class ScanBounds:
     def __post_init__(self):
         for name, value in self.to_json_obj().items():
             if value < 0:
-                raise ValueError(f"scan bound {name} must be >= 0, got {value}")
+                raise ValueError(f"scan bound {name} must be >= 0")
         if self.max_circles > 3:
             raise ValueError("more than 3 circles per side outgrows desk scale")
         # C(n, k) >= 2^k for n >= 2k: closed parts with more than 64

@@ -43,8 +43,7 @@ MAX_INPUT_CIRCLES = 64
 def check_input_genus(genus: int) -> int:
     """`genus` itself, or ValueError when it exceeds MAX_INPUT_GENUS."""
     if genus > MAX_INPUT_GENUS:
-        raise ValueError(f"genus {genus} exceeds the input limit "
-                         f"{MAX_INPUT_GENUS}")
+        raise ValueError(f"a genus exceeds the input limit {MAX_INPUT_GENUS}")
     return genus
 
 
@@ -63,7 +62,7 @@ def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Co
         raise ValueError("component with no boundary circles (closed pieces "
                          "live in closed_genera)")
     if genus < 0:
-        raise ValueError(f"negative genus {genus}")
+        raise ValueError("a component has a negative genus")
     return Component(ins, outs, genus)
 
 
@@ -81,7 +80,7 @@ class Cobordism:
                  components: Iterable[Component] = (),
                  closed_genera: Iterable[int] = ()):
         if n_in < 0 or n_out < 0:
-            raise ValueError(f"negative arity {n_in} -> {n_out}")
+            raise ValueError("negative arity")
         comps = tuple(sorted(components, key=lambda c: c.ingoing[0]
                              if c.ingoing else n_in + c.outgoing[0]))
         closed = tuple(sorted(closed_genera, reverse=True))
@@ -159,9 +158,8 @@ class Cobordism:
                              "of JSON objects")
         n_in, n_out = (_json_int(obj.get(f), f) for f in ("in", "out"))
         if max(n_in, n_out) > MAX_INPUT_CIRCLES:
-            raise ValueError(f"a {n_in} -> {n_out} cobordism exceeds the "
-                             f"input limit of {MAX_INPUT_CIRCLES} circles "
-                             f"per side")
+            raise ValueError("a cobordism exceeds the input limit of "
+                             f"{MAX_INPUT_CIRCLES} circles per side")
         K = cls(n_in, n_out,
                 [component(_json_ints(c.get("in"), f"components[{n}].in"),
                            _json_ints(c.get("out"), f"components[{n}].out"),

@@ -10,7 +10,11 @@ pieces' scalars; where a component's circles sit decides only which
 tensor slots its block's basis indices occupy.  ``evaluate`` therefore
 makes one pass: it starts from the closed scalar and multiplies in each
 block, sending the block's row and column indices straight to the slots
-of its outgoing and ingoing circles (``_slots``).
+of its outgoing and ingoing circles (``_slots``).  The pass multiplies
+integers only: each block is held as integer numerators over its common
+denominator (``_integer_block``), the closed scalar's and the blocks'
+denominators multiply into one, and the matrix is divided by it once at
+the end.
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
@@ -34,7 +38,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .exact import RationalMatrix, kron, mat_mul
+from .exact import (RationalMatrix, _from_numerators, _numerators, kron,
+                    mat_mul)
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
                         verify_frobenius, zqs3)
 from .surface import Cobordism
@@ -108,6 +113,13 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
 
 
 @lru_cache(maxsize=None)
+def _integer_block(a: FrobeniusAlgebra, m: int, k: int,
+                   n: int) -> tuple[int, dict]:
+    """``component_matrix(a, m, k, n)`` as ``(d, {(r, c): numerator})``."""
+    return _numerators(component_matrix(a, m, k, n))
+
+
+@lru_cache(maxsize=None)
 def _slots(d: int, circles: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Where each basis index of a block on ``circles`` lands among n slots.
 
@@ -140,17 +152,20 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     for g in K.closed_genera:
         # the 0 -> 0 block is counit ∘ handle^g ∘ unit, a 1 x 1 matrix
         scalar *= component_matrix(a, 0, g, 0).get(0, 0)
-    # products of nonzero entries are nonzero, so only a zero scalar
-    # could put a zero into the matrix
-    entries = {(0, 0): scalar} if scalar else {}
+    # integer numerators over the denominator d; products of nonzero
+    # numerators are nonzero, so only a zero scalar leaves the matrix empty
+    d = scalar.denominator
+    entries = {(0, 0): scalar.numerator} if scalar else {}
     for c in K.components:
-        block = component_matrix(a, len(c.outgoing), c.genus, len(c.ingoing))
+        bd, block = _integer_block(a, len(c.outgoing), c.genus,
+                                   len(c.ingoing))
         rows = _slots(a.dim, c.outgoing, K.n_out)
         cols = _slots(a.dim, c.ingoing, K.n_in)
-        placed = [(rows[i], cols[j], w) for (i, j), w in block.entries.items()]
+        placed = [(rows[i], cols[j], w) for (i, j), w in block.items()]
         entries = {(r + i, s + j): v * w for (r, s), v in entries.items()
                    for i, j, w in placed}
-    matrix = RationalMatrix._adopt(a.dim ** K.n_out, a.dim ** K.n_in, entries)
+        d *= bd
+    matrix = _from_numerators(a.dim ** K.n_out, a.dim ** K.n_in, entries, d)
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 
@@ -222,5 +237,5 @@ def closed_invariant(name: str, k: int) -> Fraction:
                          f"{', '.join(ALGEBRAS)}; use `eval --term` with a "
                          f"closed word for other algebras")
     if k < 0:
-        raise ValueError(f"no closed surface has genus {k}")
+        raise ValueError("no closed surface has a negative genus")
     return ALGEBRAS[name].closed_form(k)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -30,7 +31,7 @@ def test_invariant(capsys):
     code, out, _ = run(capsys, "invariant", "--algebra", "A", "--genus", "2")
     assert code == 0 and out.strip() == "135/2"
     code, out, err = run(capsys, "invariant", "--algebra", "A", "--genus", "-1")
-    assert code == 2 and out == "" and "genus -1" in err
+    assert code == 2 and out == "" and "negative genus" in err
     assert len(err.splitlines()) == 1
     code, out, err = run(capsys, "invariant", "--algebra", "file:x", "--genus", "1")
     assert code == 2 and "closed form" in err
@@ -45,6 +46,42 @@ def test_eval_emits_header_and_matrix(capsys):
     assert obj["matrix"]["rows"] == 3
     assert [0, 0, "3"] in obj["matrix"]["entries"]
     assert [2, 0, "3/2"] in obj["matrix"]["entries"]
+
+
+# One word per arity class up to 2 -> 2, genera 0 to 2, closed pieces
+# beside boundary components; E[m,k,n] is n -> m.
+EVAL_WORDS = ("E[0,2,0]", "E[0,1,1] * E[0,0,0]", "E[0,2,2]",
+              "(eta * eta) ; mu ; eps", "E[1,2,0]", "delta ; mu",
+              "E[1,1,2] * E[0,1,0]", "E[0,1,1] * E[1,2,0]", "E[2,1,0]",
+              "E[2,0,1]", "E[2,2,2]", "swap ; E[2,1,2]",
+              "(delta * id[1]) ; (id[1] * E[1,2,1] * eps)")
+
+# SHA-256 prefixes of `eval` stdout for EVAL_WORDS, in order
+EVAL_DIGESTS = {
+    "A": ("94218af33197", "6a0e10a989ac", "71f968c9e97b", "f8efb620d4f0",
+          "82d0c7dc3fe1", "e165412d688f", "8af0314462a6", "b32a9a5b88cb",
+          "831ee2b3e846", "7dab4d74ddbc", "ae6fa39c579b", "e0ff4f42f233",
+          "5ccc7eab28b6"),
+    "zqs3": ("5b7dcfcccd60", "d6413bafa7ee", "c9eb8f7fea10", "ca67a731b9ee",
+             "fe1412e71c97", "cf34544c93c3", "b4976b8d31a4", "24e4f95f1af1",
+             "0074fbcfff95", "31dec804ecad", "346c51c407ff", "afb2ab724958",
+             "4f29015c7e78"),
+    "qz5": ("bf6197692148", "93beaa778638", "baecf93e1357", "bf6197692148",
+            "b23d83a2100d", "f0accb2b3235", "11eaf02f90a2", "de7ec02e1146",
+            "e33007268f62", "e12a76e73686", "90938f914186", "90938f914186",
+            "208a6919b738"),
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(EVAL_DIGESTS))
+def test_eval_output_is_pinned(capsys, algebra):
+    digests = []
+    for word in EVAL_WORDS:
+        code, out, _ = run(capsys, "eval", "--algebra", algebra,
+                           "--term", word)
+        assert code == 0, word
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:12])
+    assert tuple(digests) == EVAL_DIGESTS[algebra]
 
 
 # Q[x]/(x^2) on the basis (1, x) with counit 1 on x and 0 on 1: the
@@ -250,6 +287,44 @@ def test_errors_do_not_echo_long_input_values(capsys, tmp_path):
     cases.append((["verify", "--algebra", f"file:{path}"],
                   "matrix entry 0 must be [integer row, integer col, "
                   '"p/q" string], got [string, integer, string]'))
+    # the longest integers that JSON and the command line parse
+    big = 10 ** 4299
+
+    def edited(obj, keys, value):
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        path = tmp_path / f"big{len(cases)}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    for keys, value, message in (
+            (("dim",), big, "'dim' exceeds the input limit 20"),
+            (("mul", "rows"), big, "mul must be 3x9, and its shape differs"),
+            (("mul", "rows"), -big, "a matrix shape must be nonnegative"),
+            (("mul", "entries", 0, 0), big, "an entry lies outside")):
+        path = edited(zqs3().to_json_obj(), keys, value)
+        cases.append((["verify", "--algebra", f"file:{path}"], message))
+    genus = ("components", 0, "genus")
+    for keys, value, message in (
+            (genus, big, "a genus exceeds the input limit 64"),
+            (genus, -big, "a component has a negative genus"),
+            (("in",), big, "64 circles per side"),
+            (("in",), -big, "negative arity"),
+            (("out",), big, "64 circles per side")):
+        path = edited(e_block(1, 1, 1).to_json_obj(), keys, value)
+        cases.append((["separate", "--left", path, "--right", str(ok)],
+                      message))
+    cases += [
+        (["invariant", "--genus", str(big)],
+         "a genus exceeds the input limit 64"),
+        (["invariant", "--genus", str(-big)], "negative genus"),
+        (["scan", "--max-circles", str(-big)], "max_circles must be >= 0"),
+        (["zsigmondy", "--a", str(big), "--b", "1", "--n", "1"], "2^48"),
+        (["zsigmondy", "--a", "3", "--b", str(-big), "--n", "1"],
+         "need a > b >= 1"),
+    ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv[0]
@@ -282,7 +357,7 @@ def test_unknown_algebra_selector(capsys):
 def test_eval_limits(capsys):
     cases = [
         ("zqs3", "E[1,1200,1]", "limit 64"),                 # number
-        ("zqs3", "E[1,60,2] ; E[2,60,1]", "genus 120"),      # genus
+        ("zqs3", "E[1,60,2] ; E[2,60,1]", "a genus exceeds"),  # genus 120
         ("zqs3", " ; ".join(["id[1]"] * 991), "500 tokens"),
         ("zqs3", "(" * 330 + "mu" + ")" * 330, "500 tokens"),
         ("A", " * ".join(["eta"] * 7), "matrix entries"),    # 15^7 entries
@@ -309,7 +384,7 @@ def test_genus_limit_of_invariant_and_separate(capsys, tmp_path):
     right.write_text(json.dumps(e_block(1, 0, 1).to_json_obj()))
     code, out, err = run(capsys, "separate", "--left", str(left),
                          "--right", str(right))
-    assert code == 2 and out == "" and "genus 65" in err
+    assert code == 2 and out == "" and "a genus exceeds the input limit 64" in err
     assert len(err.splitlines()) == 1
     code, out, _ = run(capsys, "invariant", "--algebra", "zqs3",
                        "--genus", "64")
@@ -343,7 +418,8 @@ def test_file_algebra_dim_limit(capsys, tmp_path):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", "--algebra", f"file:{path}")
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "dimension 21" in err
+    assert len(err.splitlines()) == 1
+    assert "'dim' exceeds the input limit 20" in err
 
 
 def test_scan_refuses_oversized_enumeration(capsys):
@@ -357,7 +433,7 @@ def test_scan_refuses_genus_bounds_above_the_limit(capsys):
                          "--max-genus", "0", "--max-closed", "1",
                          "--max-closed-genus", "6000")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert "genus 6000 exceeds the input limit 64" in err
+    assert "a genus exceeds the input limit 64" in err
 
 
 def test_scan_refuses_matrices_above_the_eval_limit(capsys, tmp_path):

@@ -10,22 +10,63 @@ from cobtqft.frobenius import qz5, zqs3
 
 def assert_reduced(m):
     for v in m.entries.values():
+        assert type(v) is F
         assert v != 0
         assert v.denominator > 0
         assert math.gcd(abs(v.numerator), v.denominator) == 1
 
 
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# denominators up to 60 make the common denominators real lcms
+wide_fraction = st.fractions(min_value=-60, max_value=60, max_denominator=60)
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
+def matrices(draw, rows=None, cols=None, values=small_fraction):
     r = rows if rows is not None else draw(st.integers(1, 4))
     c = cols if cols is not None else draw(st.integers(1, 4))
     data = draw(st.dictionaries(
         st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
-        small_fraction, max_size=r * c))
+        values, max_size=r * c))
     return RationalMatrix(r, c, data)
+
+
+def dense(m):
+    return [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def reference_mat_mul(a, b):
+    """The product as dense Fraction sums, entry by entry."""
+    x, y = dense(a), dense(b)
+    return [[sum((x[i][j] * y[j][k] for j in range(a.cols)), F(0))
+             for k in range(b.cols)] for i in range(a.rows)]
+
+
+def reference_kron(a, b):
+    return [[a.get(r // b.rows, c // b.cols) * b.get(r % b.rows, c % b.cols)
+             for c in range(a.cols * b.cols)]
+            for r in range(a.rows * b.rows)]
+
+
+def assert_matches_dense(m, rows):
+    assert m.rows == len(rows) and all(len(row) == m.cols for row in rows)
+    assert m.entries == {(r, c): v for r, row in enumerate(rows)
+                         for c, v in enumerate(row) if v}
+    assert_reduced(m)
+
+
+def test_matrix_values_are_ints_or_fractions():
+    with pytest.raises(TypeError, match="got float"):
+        RationalMatrix(1, 1, {(0, 0): 0.1})
+    with pytest.raises(TypeError, match="got float"):
+        RationalMatrix.from_rows([[1, 0.5]])
+    with pytest.raises(TypeError, match="got str"):
+        RationalMatrix.from_rows([["1/3"]])
+    with pytest.raises(TypeError, match="got float"):
+        RationalMatrix.identity(2).scale(0.1)
+    m = RationalMatrix.from_rows([[2, F(1, 3)]]).scale(3)
+    assert m.entries == {(0, 0): F(6), (0, 1): F(1)}
+    assert_reduced(m)
 
 
 def test_construction_drops_zeros_and_validates():
@@ -97,6 +138,37 @@ def test_kron_mixed_product(data):
     c = data.draw(matrices(rows=a.cols))
     d = data.draw(matrices(rows=b.cols))
     assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_fraction_reference(data):
+    a = data.draw(matrices(values=wide_fraction))
+    b = data.draw(matrices(rows=a.cols, values=wide_fraction))
+    assert_matches_dense(mat_mul(a, b), reference_mat_mul(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kron_matches_dense_fraction_reference(data):
+    a = data.draw(matrices(values=wide_fraction))
+    b = data.draw(matrices(values=wide_fraction))
+    assert_matches_dense(kron(a, b), reference_kron(a, b))
+
+
+nonzero_fraction = wide_fraction.filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(nonzero_fraction, min_size=6, max_size=6))
+def test_mat_mul_drops_entries_that_cancel_to_zero(v):
+    # entry (0, 0) of the product is p*q - q*p; the other three are drawn
+    p, q, r, s, t, u = v
+    a = RationalMatrix.from_rows([[p, q], [r, s]])
+    b = RationalMatrix.from_rows([[q, t], [-p, u]])
+    product = mat_mul(a, b)
+    assert (0, 0) not in product.entries
+    assert_matches_dense(product, reference_mat_mul(a, b))
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,11 +195,11 @@ def test_algebra_json_dim_limit():
     back = FrobeniusAlgebra.from_json_obj(at_limit.to_json_obj())
     assert back.dim == 20 and back.mul == at_limit.mul
     too_big = group_algebra(FiniteGroup.cyclic(MAX_INPUT_DIM + 1))
-    with pytest.raises(ValueError, match="dimension 21 exceeds"):
+    with pytest.raises(ValueError, match="'dim' exceeds the input limit 20"):
         FrobeniusAlgebra.from_json_obj(too_big.to_json_obj())
 
 
 def test_shape_validation():
     z = zqs3()
-    with pytest.raises(ValueError, match="mul must be"):
+    with pytest.raises(ValueError, match="mul must be 3x9, and its shape"):
         FrobeniusAlgebra(3, z.unit, z.unit, z.comul, z.counit)

@@ -48,6 +48,23 @@ def test_evaluate_closed_surfaces_qz5():
         assert ev.matrix == RationalMatrix.from_rows([[5]])
 
 
+def test_evaluate_with_a_zero_closed_scalar_is_empty():
+    # Q[x]/(x^2) on the basis (1, x) with counit 1 on x: the sphere is 0
+    # and the torus is counit(2x) = 2
+    dual = FrobeniusAlgebra(
+        2, RationalMatrix(2, 4, {(0, 0): 1, (1, 1): 1, (1, 2): 1}),
+        RationalMatrix(2, 1, {(0, 0): 1}),
+        RationalMatrix(4, 2, {(1, 0): 1, (2, 0): 1, (3, 1): 1}),
+        RationalMatrix(1, 2, {(0, 1): 1}))
+    tube = e_block(1, 1, 1)
+    with_torus = Cobordism(1, 1, tube.components, (1,))
+    assert evaluate(dual, with_torus).matrix \
+        == evaluate(dual, tube).matrix.scale(2)
+    for closed in ((0,), (1, 0)):
+        K = Cobordism(1, 1, tube.components, closed)
+        assert evaluate(dual, K).matrix == RationalMatrix(2, 2)
+
+
 def test_evaluate_closed_surface_A_genus2():
     ev = evaluate(faithful_algebra(), e_block(0, 2, 0))
     assert ev.matrix == RationalMatrix.from_rows([[F(135, 2)]])
