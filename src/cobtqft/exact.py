@@ -2,32 +2,35 @@
 
 Scalars are :class:`fractions.Fraction` values, so every number is an
 arbitrary-precision rational kept in lowest terms with a positive
-denominator.  A matrix stores only its nonzero entries in a dict
-``(row, col) -> Fraction``: evaluating field theories on two or three
+denominator.  A matrix stores only integers: a positive denominator
+``den`` and a dict ``nums`` of the numerators of its nonzero entries,
+``(row, col) -> int``; evaluating field theories on two or three
 circles produces matrices with 225 to 3375 columns that are mostly
-zero.  Matrix values are ints or Fractions (anything else is a
-TypeError), so no binary fraction or string slips in.
-
-``mat_mul`` and ``kron`` multiply no Fractions: they read each factor
-as integer numerators over the lcm of its denominators, accumulate
-plain ints, and divide by the product of the two denominators once,
-with one reduced Fraction per distinct numerator, shared by the entries
-that have it (Fractions are immutable), and no zero left by
-cancellation.
+zero.  Every constructor ends in one normaliser (zeros dropped, the gcd
+divided out once, one int shared by the entries with one numerator),
+so the form is canonical and ``mat_mul``, ``kron``, ``transpose``,
+``scale``, ``key`` and equality work on integers alone.  ``entries`` is
+a view derived on each read: the nonzero entries as Fractions in
+lowest terms.  Matrix values given to a constructor are ints or
+Fractions (anything else is a TypeError), so no binary fraction or
+string slips in.
 
 There is no floating point anywhere in this package.
 
 JSON form: ``{"rows": R, "cols": C, "entries": [[r, c, "p/q"], ...]}``
 with entries sorted row-major and ``/q`` omitted when the denominator
-is 1.  Errors about JSON input name the field and its JSON type
-(:func:`json_type`), never the value, whose size is unbounded.
+is 1.  A value is read only in that form, ``-?[0-9]+(/[0-9]+)?`` with
+``q`` nonzero; a position may appear once.  Errors about JSON input
+name the field and its JSON type (:func:`json_type`), or the index of
+a matrix entry, never the value, whose size is unbounded.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -42,101 +45,124 @@ def json_type(value) -> str:
     return _JSON_TYPES.get(name, name)
 
 
-def _rational(value) -> Fraction:
-    """`value` as a Fraction; TypeError unless it is an int or a Fraction."""
+def _rational(value) -> int | Fraction:
+    """`value` itself; TypeError unless it is an int or a Fraction."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a matrix value must be an int or a Fraction, "
                         f"got {type(value).__name__}")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    return value
+
+
+def _over_one_denominator(values: dict) -> tuple[dict, int]:
+    """``({k: n}, d)`` with ``values[k] == n / d``, for int or Fraction
+    values and ``d`` the lcm of their denominators."""
+    d = lcm(*{v.denominator for v in values.values()})
+    return {k: v.numerator * (d // v.denominator)
+            for k, v in values.items()}, d
 
 
 class RationalMatrix:
     """A sparse ``rows x cols`` matrix over the rationals.
 
-    Instances are immutable by convention: no method mutates ``entries``
-    after construction.
+    Entry ``(r, c)`` is ``nums.get((r, c), 0) / den``.  The form is
+    canonical: ``den`` is positive, no value of ``nums`` is 0, and
+    ``gcd(den, *nums.values()) == 1``.  Instances are immutable by
+    convention: nothing mutates ``den`` or ``nums`` after construction.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "den", "nums")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("a matrix shape must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        data: dict[tuple[int, int], Fraction] = {}
+        values = {}
         if entries:
             for (r, c), value in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("an entry lies outside the matrix")
-                v = _rational(value)
-                if v:
-                    data[r, c] = v
-        self.entries = data
+                values[r, c] = _rational(value)
+        self._normalise(rows, cols, *_over_one_denominator(values))
+
+    def _normalise(self, rows: int, cols: int, nums: dict,
+                   den: int) -> "RationalMatrix":
+        # The canonical form of the matrix with entries nums[k] / den
+        # (den > 0).  Sharing one int per numerator keeps large evaluated
+        # matrices small in memory.
+        distinct = set(nums.values())
+        distinct.discard(0)
+        g = gcd(den, *distinct)
+        shared = {n: n // g for n in distinct}
+        self.rows = rows
+        self.cols = cols
+        self.den = den // g
+        self.nums = {k: shared[n] for k, n in nums.items() if n}
+        return self
+
+    @classmethod
+    def _integer(cls, rows: int, cols: int, nums: dict,
+                 den: int) -> "RationalMatrix":
+        """The matrix with entries ``nums[k] / den``; in-bounds keys and
+        ``den > 0`` are the caller's to ensure."""
+        return cls.__new__(cls)._normalise(rows, cols, nums, den)
 
     @classmethod
     def _adopt(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
-        # Internal fast path: `data` must already be canonical (in-bounds
-        # keys, nonzero Fraction values) and is taken over without copying.
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.entries = data
-        return m
+        """The matrix with int or Fraction entries ``data``, which must
+        have in-bounds keys; nothing is checked."""
+        return cls._integer(rows, cols, *_over_one_denominator(data))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        one = Fraction(1)
-        return cls._adopt(n, n, {(i, i): one for i in range(n)})
+        return cls._integer(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
         n = len(rows)
         m = len(rows[0]) if n else 0
-        data = {}
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                v = _rational(value)
-                if v:
-                    data[i, j] = v
-        return cls._adopt(n, m, data)
+        if any(len(row) != m for row in rows):
+            raise ValueError("ragged rows")
+        return cls(n, m, {(i, j): value for i, row in enumerate(rows)
+                          for j, value in enumerate(row)})
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries as ``{(r, c): Fraction}`` in lowest terms,
+        built anew on each read; entries with one value share a Fraction."""
+        value = {n: Fraction(n, self.den) for n in set(self.nums.values())}
+        return {k: value[n] for k, n in self.nums.items()}
+
     def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
+        return Fraction(self.nums.get((r, c), 0), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.den == other.den and self.nums == other.nums)
 
     def key(self):
         """Canonical hashable form (for dict-based distinctness checks)."""
-        return (self.rows, self.cols,
-                tuple(sorted((r, c, v.numerator, v.denominator)
-                             for (r, c), v in self.entries.items())))
+        return (self.rows, self.cols, self.den,
+                tuple(sorted((r, c, n) for (r, c), n in self.nums.items())))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._adopt(
+        return RationalMatrix._integer(
             self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()})
+            {(c, r): n for (r, c), n in self.nums.items()}, self.den)
 
     def scale(self, s) -> "RationalMatrix":
         s = _rational(s)
-        if not s:
-            return RationalMatrix._adopt(self.rows, self.cols, {})
-        return RationalMatrix._adopt(
+        return RationalMatrix._integer(
             self.rows, self.cols,
-            {k: s * v for k, v in self.entries.items()})
+            {k: s.numerator * n for k, n in self.nums.items()},
+            s.denominator * self.den)
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.nums)} nonzero)"
 
     def to_json_obj(self) -> dict:
         entries = [[r, c, str(v)]
@@ -164,11 +190,10 @@ class RationalMatrix:
                        else json_type(entry))
                 raise ValueError(f'matrix entry {n} must be [integer row, '
                                  f'integer col, "p/q" string], got {got}')
-            try:
-                entries[entry[0], entry[1]] = Fraction(entry[2])
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f'matrix entry {n}: the value is not a '
-                                 f'rational "p/q" with q nonzero') from None
+            if (entry[0], entry[1]) in entries:
+                raise ValueError(f"matrix entry {n} repeats the position "
+                                 f"of an earlier entry")
+            entries[entry[0], entry[1]] = _parse_rational(entry[2], n)
         return cls(obj["rows"], obj["cols"], entries)
 
     @classmethod
@@ -176,21 +201,22 @@ class RationalMatrix:
         return cls.from_json_obj(json.loads(text))
 
 
-def _numerators(m: RationalMatrix) -> tuple[int, dict]:
-    """``(d, {(r, c): n})``: every entry of ``m`` as ``n / d``, with ``d``
-    the lcm of the entries' denominators."""
-    d = lcm(*{v.denominator for v in m.entries.values()})
-    return d, {k: v.numerator * (d // v.denominator)
-               for k, v in m.entries.items()}
+# The JSON value form: an integer p, or p/q with q a positive integer.
+_JSON_VALUE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _from_numerators(rows: int, cols: int, nums: dict,
-                     d: int) -> RationalMatrix:
-    """The matrix with entries ``n / d``, zeros dropped; entries with the
-    same numerator share one Fraction."""
-    value = {n: Fraction(n, d) for n in set(nums.values()) if n}
-    return RationalMatrix._adopt(
-        rows, cols, {k: value[n] for k, n in nums.items() if n})
+def _parse_rational(text: str, n: int) -> Fraction:
+    """The value of matrix entry `n` in the JSON value form."""
+    if _JSON_VALUE.fullmatch(text):
+        p, _, q = text.partition("/")
+        try:
+            # int() refuses over 4 300 digits, which bounds the work
+            return Fraction(int(p), int(q or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f'matrix entry {n}: the value is not a rational '
+                     f'"p/q" of integers with q nonzero, each of at most '
+                     f'4300 digits')
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -199,17 +225,15 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise ValueError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
             "inner dimensions differ")
-    da, na = _numerators(a)
-    db, nb = _numerators(b)
     # group the left factor by column so each nonzero of b is touched once
     cols_of_a: dict[int, list] = {}
-    for (i, j), v in na.items():
+    for (i, j), v in a.nums.items():
         cols_of_a.setdefault(j, []).append((i, v))
     acc: dict[tuple[int, int], int] = {}
-    for (j, k), w in nb.items():
+    for (j, k), w in b.nums.items():
         for i, v in cols_of_a.get(j, ()):
             acc[i, k] = acc.get((i, k), 0) + v * w
-    return _from_numerators(a.rows, b.cols, acc, da * db)
+    return RationalMatrix._integer(a.rows, b.cols, acc, a.den * b.den)
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -220,22 +244,18 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     ``b1⊗b1, b1⊗b2, ..., bn⊗bn`` used for all tensor-product bases here.
     """
     br, bc = b.rows, b.cols
-    da, na = _numerators(a)
-    db, nb = _numerators(b)
     data = {}
-    for (ia, ja), va in na.items():
+    for (ia, ja), va in a.nums.items():
         rbase = ia * br
         cbase = ja * bc
-        for (ib, jb), vb in nb.items():
+        for (ib, jb), vb in b.nums.items():
             data[rbase + ib, cbase + jb] = va * vb
-    return _from_numerators(a.rows * br, a.cols * bc, data, da * db)
+    return RationalMatrix._integer(a.rows * br, a.cols * bc, data,
+                                   a.den * b.den)
 
 
 def swap_matrix(d1: int, d2: int) -> RationalMatrix:
     """The flip ``V⊗W -> W⊗V`` for spaces of dimensions d1 and d2."""
-    one = Fraction(1)
-    data = {}
-    for i in range(d1):
-        for j in range(d2):
-            data[j * d1 + i, i * d2 + j] = one
-    return RationalMatrix._adopt(d1 * d2, d1 * d2, data)
+    return RationalMatrix._integer(
+        d1 * d2, d1 * d2, {(j * d1 + i, i * d2 + j): 1
+                           for i in range(d1) for j in range(d2)}, 1)

@@ -4,17 +4,16 @@
 assigns to the cobordism ``K``.  A connected genus-g component with n
 ingoing and m outgoing circles gets the block comul^m ∘ handle^g ∘ mul^n
 (``component_matrix``), and a closed genus-g piece the scalar
-counit∘handle^g∘unit.  Components sit side by side, so an entry of the
-matrix of K is the product of one entry of each block, times the closed
-pieces' scalars; where a component's circles sit decides only which
-tensor slots its block's basis indices occupy.  ``evaluate`` therefore
-makes one pass: it starts from the closed scalar and multiplies in each
-block, sending the block's row and column indices straight to the slots
-of its outgoing and ingoing circles (``_slots``).  The pass multiplies
-integers only: each block is held as integer numerators over its common
-denominator (``_integer_block``), the closed scalar's and the blocks'
-denominators multiply into one, and the matrix is divided by it once at
-the end.
+counit∘handle^g∘unit, the 0 -> 0 block.  Pieces sit side by side, so
+an entry of the matrix of K is the product of one entry of each block;
+where a piece's circles sit decides only which tensor slots its block's
+basis indices occupy.  ``evaluate`` therefore makes one pass: starting
+from the 1 x 1 matrix 1, it multiplies in each block, the closed
+pieces' first, sending the block's row and column indices straight to
+the slots of its outgoing and ingoing circles (``_slots``).  The pass
+multiplies integers only: it reads each cached block's numerators and
+denominator (``RationalMatrix.nums`` and ``den``) directly, multiplies
+the denominators into one, and normalises the matrix once at the end.
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
@@ -38,8 +37,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .exact import (RationalMatrix, _from_numerators, _numerators, kron,
-                    mat_mul)
+from .exact import RationalMatrix, kron, mat_mul
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
                         verify_frobenius, zqs3)
 from .surface import Cobordism
@@ -113,13 +111,6 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
 
 
 @lru_cache(maxsize=None)
-def _integer_block(a: FrobeniusAlgebra, m: int, k: int,
-                   n: int) -> tuple[int, dict]:
-    """``component_matrix(a, m, k, n)`` as ``(d, {(r, c): numerator})``."""
-    return _numerators(component_matrix(a, m, k, n))
-
-
-@lru_cache(maxsize=None)
 def _slots(d: int, circles: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Where each basis index of a block on ``circles`` lands among n slots.
 
@@ -148,24 +139,20 @@ def check_matrix_size(a: FrobeniusAlgebra, n_in: int, n_out: int) -> None:
 def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     """Apply the field theory of ``a`` to a cobordism."""
     ensure_verified(a)
-    scalar = Fraction(1)
-    for g in K.closed_genera:
-        # the 0 -> 0 block is counit ∘ handle^g ∘ unit, a 1 x 1 matrix
-        scalar *= component_matrix(a, 0, g, 0).get(0, 0)
-    # integer numerators over the denominator d; products of nonzero
-    # numerators are nonzero, so only a zero scalar leaves the matrix empty
-    d = scalar.denominator
-    entries = {(0, 0): scalar.numerator} if scalar else {}
-    for c in K.components:
-        bd, block = _integer_block(a, len(c.outgoing), c.genus,
-                                   len(c.ingoing))
-        rows = _slots(a.dim, c.outgoing, K.n_out)
-        cols = _slots(a.dim, c.ingoing, K.n_in)
-        placed = [(rows[i], cols[j], w) for (i, j), w in block.items()]
-        entries = {(r + i, s + j): v * w for (r, s), v in entries.items()
-                   for i, j, w in placed}
-        d *= bd
-    matrix = _from_numerators(a.dim ** K.n_out, a.dim ** K.n_in, entries, d)
+    # the closed pieces come first, while the matrix has one entry
+    pieces = [((), g, ()) for g in K.closed_genera]
+    pieces += [(c.outgoing, c.genus, c.ingoing) for c in K.components]
+    nums, den = {(0, 0): 1}, 1
+    for outgoing, genus, ingoing in pieces:
+        block = component_matrix(a, len(outgoing), genus, len(ingoing))
+        rows = _slots(a.dim, outgoing, K.n_out)
+        cols = _slots(a.dim, ingoing, K.n_in)
+        placed = [(rows[i], cols[j], w) for (i, j), w in block.nums.items()]
+        nums = {(r + i, s + j): v * w for (r, s), v in nums.items()
+                for i, j, w in placed}
+        den *= block.den
+    matrix = RationalMatrix._integer(a.dim ** K.n_out, a.dim ** K.n_in,
+                                     nums, den)
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -287,6 +288,18 @@ def test_errors_do_not_echo_long_input_values(capsys, tmp_path):
     cases.append((["verify", "--algebra", f"file:{path}"],
                   "matrix entry 0 must be [integer row, integer col, "
                   '"p/q" string], got [string, integer, string]'))
+    # Fraction() would read the exponent and build a 10^10-digit integer
+    exponent, repeated = zqs3().to_json_obj(), zqs3().to_json_obj()
+    exponent["counit"]["entries"][0][2] = "1e10000000000"
+    repeated["mul"]["entries"][1][:2] = repeated["mul"]["entries"][0][:2]
+    for name, obj, message in (
+            ("exponent", exponent,
+             "'counit': matrix entry 0: the value is not a rational"),
+            ("repeated", repeated,
+             "'mul': matrix entry 1 repeats the position")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        cases.append((["verify", "--algebra", f"file:{path}"], message))
     # the longest integers that JSON and the command line parse
     big = 10 ** 4299
 
@@ -326,7 +339,9 @@ def test_errors_do_not_echo_long_input_values(capsys, tmp_path):
          "need a > b >= 1"),
     ]
     for argv, message in cases:
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5, message
         assert code == 2 and out == "", argv[0]
         assert len(err.splitlines()) == 1 and message in err
         assert len(err.encode()) < MAX_ERROR_BYTES, err[:MAX_ERROR_BYTES]

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobtqft.exact import RationalMatrix, kron, mat_mul
-from cobtqft.frobenius import qz5, zqs3
+from cobtqft.exact import RationalMatrix, kron, mat_mul, swap_matrix
+from cobtqft.frobenius import faithful_algebra, qz5, zqs3
+from cobtqft.surface import e_block
+from cobtqft.tqft import evaluate
 
 
 def assert_reduced(m):
@@ -187,13 +189,102 @@ def test_json_round_trip_and_format():
     assert RationalMatrix.from_json(text) == m
 
 
+def _entry(value):
+    return {"rows": 1, "cols": 1, "entries": [[0, 0, value]]}
+
+
 @pytest.mark.parametrize("obj", [
     [], {"rows": 1, "cols": "1", "entries": []},
     {"rows": 1, "cols": 1, "entries": 5},
-    {"rows": 1, "cols": 1, "entries": [[0, 0, 1.5]]},
-    {"rows": 1, "cols": 1, "entries": [[0, 0, "x"]]},
-    {"rows": 1, "cols": 1, "entries": [[0, 0, "1/0"]]},
+    _entry(1.5), _entry("x"), _entry("1/0"),
+    # only -?[0-9]+(/[0-9]+)? is read: Fraction() would take all of these
+    _entry("1e10000000000"), _entry("1e100000000"), _entry("5.0"),
+    _entry(" 1"), _entry("1 "), _entry("0x1"), _entry("1_0"),
+    _entry("+1"), _entry("1/-2"), _entry("\u0661"), _entry("9" * 5000),
+    {"rows": 1, "cols": 2, "entries": [[0, 1, "1"], [0, 0, "2"],
+                                       [0, 1, "3"]]},
 ])
 def test_json_rejects_malformed_matrices(obj):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         RationalMatrix.from_json_obj(obj)
+    message = str(err.value)
+    assert len(message) < 120
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if isinstance(entries, list) and entries:
+        # a bad value or a repeated position is named by its index
+        assert f"matrix entry {len(entries) - 1}" in message
+        value = entries[-1][2]
+        assert not (isinstance(value, str) and len(value) > 3
+                    and value in message)
+
+
+def test_json_reads_the_documented_value_form():
+    m = RationalMatrix.from_json_obj({"rows": 1, "cols": 4, "entries": [
+        [0, 0, "-0"], [0, 1, "007"], [0, 2, "-6/4"], [0, 3, "3/1"]]})
+    assert m.entries == {(0, 1): F(7), (0, 2): F(-3, 2), (0, 3): F(3)}
+
+
+def assert_canonical(m, rows):
+    """`m` is in the canonical integer form and equals the dense
+    Fraction reference `rows`."""
+    assert m.den > 0
+    assert math.gcd(m.den, *m.nums.values()) == 1
+    assert 0 not in m.nums.values()
+    assert all(type(n) is int for n in m.nums.values())
+    assert_matches_dense(m, rows)
+
+
+mixed_value = st.one_of(st.integers(-30, 30), wide_fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_constructor_and_operation_is_canonical(data):
+    a = data.draw(matrices(values=mixed_value))
+    b = data.draw(matrices(rows=a.cols, values=mixed_value))
+    s = data.draw(mixed_value)
+    n, d1, d2 = (data.draw(st.integers(0, 4)) for _ in range(3))
+    x, y = dense(a), dense(b)
+    scaled = [[v * s for v in row] for row in x]
+    drawn = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, a.rows - 1), st.integers(0, a.cols - 1)),
+        mixed_value, max_size=a.rows * a.cols))
+    reference_drawn = [[F(drawn.get((r, c), 0)) for c in range(a.cols)]
+                       for r in range(a.rows)]
+    swap = [[F(int(r == (c % d2) * d1 + c // d2)) for c in range(d1 * d2)]
+            for r in range(d1 * d2)]
+    built = [
+        (RationalMatrix(a.rows, a.cols, drawn), reference_drawn),
+        (RationalMatrix._adopt(a.rows, a.cols, drawn), reference_drawn),
+        (RationalMatrix.from_rows(x), x),
+        (RationalMatrix.identity(n),
+         [[F(int(r == c)) for c in range(n)] for r in range(n)]),
+        (a.transpose(), [list(col) for col in zip(*x)]),
+        (a.transpose().transpose(), x),
+        (a.scale(s), scaled),
+        # usually the numerators of `a` over a larger denominator
+        (a.scale(F(1, 7)), [[v / 7 for v in row] for row in x]),
+        (a.scale(s).scale(1 / F(s)) if s else a, x),
+        (mat_mul(a, b), reference_mat_mul(a, b)),
+        (kron(a, b), reference_kron(a, b)),
+        (swap_matrix(d1, d2), swap),
+        (RationalMatrix.from_json(a.to_json()), x),
+        (RationalMatrix.from_json(b.to_json()), y),
+    ]
+    for m, rows in built:
+        assert_canonical(m, rows)
+    # the form is canonical: keys agree exactly when the matrices do
+    for m, rows in built:
+        for other, other_rows in built:
+            same = (m.shape == other.shape and rows == other_rows)
+            assert (m == other) == same
+            assert (m.key() == other.key()) == same
+
+
+def test_evaluated_entries_share_one_int_per_numerator():
+    # numerators above 256 are not CPython's cached small ints, so each
+    # product in evaluate is a new object unless the normaliser shares it
+    m = evaluate(faithful_algebra(), e_block(2, 2, 2)).matrix
+    distinct = set(m.nums.values())
+    assert max(distinct) > 256 and len(m.nums) > 10 * len(distinct)
+    assert len({id(n) for n in m.nums.values()}) == len(distinct)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -97,6 +98,28 @@ def test_center_of_abelian_group_is_the_group_algebra():
             == (a.comul.scale(g.order), a.counit)
         # the counit |G| at the identity makes the handle the identity
         assert mat_mul(a.mul, a.comul) == RationalMatrix.identity(g.order)
+
+
+# SHA-256 prefixes of `to_json()` of mul, unit, comul and counit, in order
+STRUCTURE_MAP_DIGESTS = {
+    "qz5": (qz5, ("bc75d7b0fa7b", "6fe907218c68", "af7924077355",
+                  "b6367bb6f09f")),
+    "zqs3": (zqs3, ("835676cc8ceb", "abd729bc1a74", "5fa63f1f2e5f",
+                    "40ed5af47434")),
+    "A": (faithful_algebra, ("6485a1559af1", "8a72cd669957", "c259f2114395",
+                             "16f775f28700")),
+    "C4": (lambda: group_algebra(FiniteGroup.cyclic(4)),
+           ("747600c128a8", "6d4e9821eebd", "3433a43e09b3", "d1b82fe670d1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_MAP_DIGESTS))
+def test_structure_map_json_is_pinned(name):
+    build, expected = STRUCTURE_MAP_DIGESTS[name]
+    a = build()
+    digests = tuple(hashlib.sha256(m.to_json().encode()).hexdigest()[:12]
+                    for m in (a.mul, a.unit, a.comul, a.counit))
+    assert digests == expected
 
 
 def test_pairing_copairing_zqs3():
