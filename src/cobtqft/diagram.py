@@ -16,9 +16,10 @@ E[m,k,n]: n->m (the connected genus-k block, admitted as sugar).
 ``a ; b`` means "a first, then b", matching the top-to-bottom picture
 convention; in function-composition notation it is ``b ∘ a``.
 
-A word holds at most MAX_TOKENS tokens, which bounds the nesting depth
-the recursive parser and elaborator meet, and every number in it is at
-most MAX_NUMBER.
+Names, numbers and whitespace are ASCII.  A word holds at most
+MAX_TOKENS tokens, which bounds the nesting depth the recursive parser
+and elaborator meet, and every number in it is at most MAX_NUMBER.
+Error messages name a token by its kind and position, never its text.
 """
 
 from __future__ import annotations
@@ -72,11 +73,9 @@ class Tens(Term):
     right: Term = None
 
 
-_GENERATORS = {"mu": surface.e_block(1, 0, 2),
-               "eta": surface.e_block(1, 0, 0),
-               "delta": surface.e_block(2, 0, 1),
-               "eps": surface.e_block(0, 0, 1),
-               "swap": surface.permutation((1, 0))}
+# the connected generators, as the parameters m, k, n of E[m,k,n]
+_BLOCKS = {"mu": (1, 0, 2), "eta": (1, 0, 0), "delta": (2, 0, 1),
+           "eps": (0, 0, 1)}
 
 
 def arity(t: Term) -> tuple[int, int]:
@@ -85,11 +84,10 @@ def arity(t: Term) -> tuple[int, int]:
         if t.name == "id":
             (n,) = t.params
             return n, n
-        if t.name == "E":
-            m, _, n = t.params
-            return n, m
-        K = _GENERATORS[t.name]
-        return K.n_in, K.n_out
+        if t.name == "swap":
+            return 2, 2
+        m, _, n = t.params if t.name == "E" else _BLOCKS[t.name]
+        return n, m
     if isinstance(t, Tens):
         ln, lm = arity(t.left)
         rn, rm = arity(t.right)
@@ -108,27 +106,27 @@ def arity(t: Term) -> tuple[int, int]:
 MAX_TOKENS = 500
 MAX_NUMBER = 64
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<sym>[;*()\[\],])")
+# finditer skips the ASCII whitespace between tokens; any other character
+# that starts no token is `bad`
+_TOKEN = re.compile(r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<sym>[;*()\[\],])"
+                    r"|(?P<bad>[^ \t\n\r\f\v])", re.ASCII)
+# what an error says about a token it did not expect; never its text,
+# which may be arbitrarily long
+_KINDS = {"name": "a name", "int": "a number", "sym": "a symbol",
+          "end": "the end of the input"}
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "bad":
+            raise TermSyntaxError(f"unexpected character {m.group()!r}", pos)
         if len(tokens) == MAX_TOKENS:
             raise TermSyntaxError(f"the word has more than {MAX_TOKENS} "
                                   f"tokens", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+        tokens.append((kind, m.group(), pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -148,14 +146,17 @@ class _Parser:
     def expect(self, value: str):
         kind, text, pos = self.next()
         if text != value:
-            raise TermSyntaxError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
+            raise TermSyntaxError(f"expected {value!r}, found {_KINDS[kind]}",
+                                  pos)
         return pos
 
     def parse_int(self) -> int:
         kind, text, pos = self.next()
         if kind != "int":
-            raise TermSyntaxError(f"expected a number, found {text or 'end of input'!r}", pos)
-        n = int(text)
+            raise TermSyntaxError(f"expected a number, found {_KINDS[kind]}",
+                                  pos)
+        # counting digits first keeps int() off numbers of any length
+        n = MAX_NUMBER + 1 if len(text) > MAX_NUMBER else int(text)
         if n > MAX_NUMBER:
             raise TermSyntaxError(f"a number exceeds the limit {MAX_NUMBER}",
                                   pos)
@@ -182,8 +183,9 @@ class _Parser:
             self.expect(")")
             return t
         if kind != "name":
-            raise TermSyntaxError(f"expected a generator, found {text or 'end of input'!r}", pos)
-        if text in _GENERATORS:
+            raise TermSyntaxError(
+                f"expected a generator, found {_KINDS[kind]}", pos)
+        if text in _BLOCKS or text == "swap":
             return Gen(name=text, pos=pos)
         if text == "id":
             self.expect("[")
@@ -199,16 +201,16 @@ class _Parser:
             n = self.parse_int()
             self.expect("]")
             return Gen(name="E", params=(m, k, n), pos=pos)
-        raise TermSyntaxError(f"unknown generator {text!r}", pos)
+        raise TermSyntaxError("unknown generator name", pos)
 
 
 def parse(text: str) -> Term:
     """Parse and type-check a generator word."""
     p = _Parser(text)
     t = p.term()
-    kind, tok, pos = p.peek()
+    kind, _, pos = p.peek()
     if kind != "end":
-        raise TermSyntaxError(f"trailing input {tok!r}", pos)
+        raise TermSyntaxError(f"trailing input: {_KINDS[kind]}", pos)
     arity(t)  # raises TermArityError on ill-typed words
     return t
 
@@ -232,17 +234,45 @@ def print_term(t: Term) -> str:
 
 
 def elaborate(t: Term) -> Cobordism:
-    """Interpret a well-typed term as a cobordism normal form."""
+    """Interpret a well-typed term as a cobordism normal form.
+
+    One walk over the term collects its pieces, the piece of every free
+    circle and the seams that ";" makes; `surface._glue` then builds
+    the normal form once.
+    """
+    chis: list[int] = []
+    seams: list[tuple[int, int]] = []
+    ins, outs = _pieces(t, chis, seams)
+    return surface._glue(chis, ins, outs, seams)
+
+
+def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
+    """The pieces owning t's free ingoing and outgoing circles, in order.
+
+    Appends the Euler characteristic of each of t's pieces to `chis` and
+    the pair of pieces joined at each circle that t glues to `seams`.
+    """
     if isinstance(t, Gen):
-        if t.name == "id":
-            return surface.identity(t.params[0])
-        if t.name == "E":
-            return surface.e_block(*t.params)
-        return _GENERATORS[t.name]
-    if isinstance(t, Comp):
-        return surface.compose(elaborate(t.left), elaborate(t.right))
-    if isinstance(t, Tens):
-        return surface.tensor(elaborate(t.left), elaborate(t.right))
+        if t.name == "id":  # n cylinders
+            ins = list(range(len(chis), len(chis) + t.params[0]))
+            chis.extend(0 for _ in ins)
+            return ins, ins
+        if t.name == "swap":  # two crossing cylinders
+            p = len(chis)
+            chis += [0, 0]
+            return [p, p + 1], [p + 1, p]
+        m, k, n = t.params if t.name == "E" else _BLOCKS[t.name]
+        chis.append(2 - 2 * k - n - m)
+        return [len(chis) - 1] * n, [len(chis) - 1] * m
+    if isinstance(t, (Comp, Tens)):
+        left_ins, left_outs = _pieces(t.left, chis, seams)
+        right_ins, right_outs = _pieces(t.right, chis, seams)
+        if isinstance(t, Tens):
+            return left_ins + right_ins, left_outs + right_outs
+        surface.check_gluable((len(left_ins), len(left_outs)),
+                              (len(right_ins), len(right_outs)))
+        seams.extend(zip(left_outs, right_ins))
+        return left_ins, right_outs
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -224,9 +224,9 @@ def separating_closure(K: Cobordism, L: Cobordism
         That cobordism gets one piece of genus at least 2a, the other
         two of genus between a and 2a - 1.
 
-    This is the paper's context (``surface.fill_hole`` on the other
-    circles, a stretch, ``surface.closure`` with two genus-a caps)
-    collapsed into one cobordism.  In (b) the stretch's comultiplication
+    This is the paper's context (a disk filling each other circle, a
+    stretch, and a closure with two genus-a caps) collapsed into one
+    cobordism; ``tests/test_faithfulness.py`` glues it for real.  In (b) the stretch's comultiplication
     sends the kept circle into both genus-a caps: one disk of genus 2a.
     In (c) the stretch's cup, if any, only routes the second circle to
     the second cap.

@@ -21,7 +21,9 @@ Gluing bookkeeping goes through the Euler characteristic: gluing along
 circles is additive (a circle has characteristic 0), so a merged
 component with characteristic chi and b remaining boundary circles has
 genus (2 - chi - b)/2.  This needs no special case for loops created
-by gluing two components along several circles at once.
+by gluing two components along several circles at once.  One kernel,
+`_glue`, turns pieces, free circles and seams into the normal form;
+`compose` and `diagram.elaborate` both reach it.
 """
 
 from __future__ import annotations
@@ -133,9 +135,7 @@ class Cobordism:
                    + list(self.closed_genera) + [0])
 
     def euler_characteristic(self) -> int:
-        chi = sum(2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
-                  for c in self.components)
-        return chi + sum(2 - 2 * g for g in self.closed_genera)
+        return sum(_characteristics(self))
 
     def to_json_obj(self) -> dict:
         return {"in": self.n_in, "out": self.n_out,
@@ -216,50 +216,81 @@ def owners(K: Cobordism) -> tuple[int, ...]:
     return tuple(owner)
 
 
+def _characteristics(K: Cobordism) -> list[int]:
+    """The Euler characteristic of every piece of K: its components in
+    order, then its closed pieces."""
+    return ([2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
+             for c in K.components]
+            + [2 - 2 * g for g in K.closed_genera])
+
+
+def check_gluable(first: tuple[int, int], second: tuple[int, int]) -> None:
+    """ValueError unless the outgoing circles of an ``a -> b`` cobordism
+    can be glued onto the ingoing circles of a ``c -> d`` one."""
+    if first[1] != second[0]:
+        raise ValueError(
+            f"cannot glue {first[0]}->{first[1]} onto "
+            f"{second[0]}->{second[1]}: boundary arities differ")
+
+
+def _glue(chis: Sequence[int], ins: Sequence[int], outs: Sequence[int],
+          seams: Iterable[tuple[int, int]]) -> Cobordism:
+    """The normal form of pieces joined along seams.
+
+    Piece p has Euler characteristic ``chis[p]``; ingoing circle i of
+    the result lies on piece ``ins[i]`` and outgoing circle j on piece
+    ``outs[j]``; each seam (p, q) joins pieces p and q along one circle.
+    The pieces joined by seams merge into one component whose
+    characteristic is their sum, and a merged class without a free
+    circle is a closed piece.
+    """
+    parent = list(range(len(chis)))
+
+    def find(p: int) -> int:  # with path halving
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for p, q in seams:
+        parent[find(p)] = find(q)
+    chi: dict[int, int] = {}
+    for p, c in enumerate(chis):
+        r = find(p)
+        chi[r] = chi.get(r, 0) + c
+    free: dict[int, tuple[list[int], list[int]]] = {}
+    for side, owner in enumerate((ins, outs)):
+        for circle, p in enumerate(owner):
+            free.setdefault(find(p), ([], []))[side].append(circle)
+
+    components = []
+    closed = []
+    for r, total in chi.items():
+        circles_in, circles_out = free.get(r, ((), ()))
+        boundary = len(circles_in) + len(circles_out)
+        twice_genus = 2 - total - boundary
+        if twice_genus < 0 or twice_genus % 2:
+            raise RuntimeError(f"glued piece has Euler characteristic {total} "
+                               f"with {boundary} boundary circles")
+        if boundary:
+            components.append(Component(tuple(circles_in),
+                                        tuple(circles_out), twice_genus // 2))
+        else:
+            closed.append(twice_genus // 2)
+    return Cobordism(len(ins), len(outs), components, closed)
+
+
 def compose(first: Cobordism, second: Cobordism) -> Cobordism:
     """Glue outgoing circles of `first` to ingoing circles of `second`."""
-    if first.n_out != second.n_in:
-        raise ValueError(
-            f"cannot glue {first.n_in}->{first.n_out} onto "
-            f"{second.n_in}->{second.n_out}: boundary arities differ")
-    # union-find over the components of both factors, first's at indices
-    # 0..p-1 and second's after them: rep[idx] names idx's class, and
-    # each glued circle merges the classes of its two components
-    p = len(first.components)
-    comps = first.components + second.components
-    rep = list(range(len(comps)))
-    for a, b in zip(owners(first)[first.n_in:], owners(second)[:second.n_in]):
-        old, new = rep[a], rep[p + b]
-        rep = [new if r == old else r for r in rep]
-
-    groups: dict[int, list[int]] = {}
-    for idx, r in enumerate(rep):
-        groups.setdefault(r, []).append(idx)
-
-    new_components = []
-    closed = list(first.closed_genera) + list(second.closed_genera)
-    for members in groups.values():
-        chi = 0
-        ins: list[int] = []
-        outs: list[int] = []
-        for idx in members:
-            c = comps[idx]
-            chi += 2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
-            if idx < p:  # first's free circles are ingoing, second's outgoing
-                ins += c.ingoing
-            else:
-                outs += c.outgoing
-        boundary = len(ins) + len(outs)
-        twice_genus = 2 - chi - boundary
-        if twice_genus < 0 or twice_genus % 2:
-            raise RuntimeError(f"glued piece has Euler characteristic {chi} "
-                               f"with {boundary} boundary circles")
-        genus = twice_genus // 2
-        if boundary == 0:
-            closed.append(genus)
-        else:
-            new_components.append(component(ins, outs, genus))
-    return Cobordism(first.n_in, second.n_out, new_components, closed)
+    check_gluable((first.n_in, first.n_out), (second.n_in, second.n_out))
+    # first's pieces are 0..p-1 and second's follow
+    chis = _characteristics(first)
+    p = len(chis)
+    chis += _characteristics(second)
+    a = owners(first)
+    b = [p + idx for idx in owners(second)]
+    return _glue(chis, a[:first.n_in], b[second.n_in:],
+                 zip(a[first.n_in:], b[:second.n_in]))
 
 
 def tensor(first: Cobordism, second: Cobordism) -> Cobordism:
@@ -300,60 +331,3 @@ def rho(K: Cobordism) -> tuple[tuple[int, ...], ...]:
     for x, idx in enumerate(owners(K)):
         blocks[idx].append(x)
     return tuple(map(tuple, blocks))
-
-
-def fill_hole(K: Cobordism, x: int) -> Cobordism:
-    """Cap the boundary circle with label `x` with a disk.
-
-    An ingoing circle is filled by preceding K with id ⊗ E_{1,0,0} ⊗ id,
-    an outgoing one by following it with id ⊗ E_{0,0,1} ⊗ id; the
-    remaining circles on that side close up the index gap.
-    """
-    if not 0 <= x < K.n_in + K.n_out:
-        raise ValueError(f"no boundary label {x} on a {K.n_in}->{K.n_out} "
-                         f"cobordism")
-    if x < K.n_in:
-        context = tensor(tensor(identity(x), e_block(1, 0, 0)),
-                         identity(K.n_in - x - 1))
-        return compose(context, K)
-    j = x - K.n_in
-    context = tensor(tensor(identity(j), e_block(0, 0, 1)),
-                     identity(K.n_out - j - 1))
-    return compose(K, context)
-
-
-def stretch1(K: Cobordism) -> Cobordism:
-    """Turn a 1 -> 0 cobordism into the 1 -> 1 cobordism (K ⊗ id) ∘ E_{2,0,1}."""
-    if (K.n_in, K.n_out) != (1, 0):
-        raise ValueError(f"stretch1 needs arity 1->0, got {K.n_in}->{K.n_out}")
-    return compose(e_block(2, 0, 1), tensor(K, identity(1)))
-
-
-def stretch1_dual(K: Cobordism) -> Cobordism:
-    """Turn a 0 -> 1 cobordism into the 1 -> 1 cobordism E_{1,0,2} ∘ (K ⊗ id)."""
-    if (K.n_in, K.n_out) != (0, 1):
-        raise ValueError(f"stretch1_dual needs arity 0->1, got {K.n_in}->{K.n_out}")
-    return compose(tensor(K, identity(1)), e_block(1, 0, 2))
-
-
-def stretch2(K: Cobordism) -> Cobordism:
-    """Turn a 2 -> 0 cobordism into (K ⊗ id) ∘ (id ⊗ E_{2,0,0})."""
-    if (K.n_in, K.n_out) != (2, 0):
-        raise ValueError(f"stretch2 needs arity 2->0, got {K.n_in}->{K.n_out}")
-    return compose(tensor(identity(1), e_block(2, 0, 0)),
-                   tensor(K, identity(1)))
-
-
-def stretch2_dual(K: Cobordism) -> Cobordism:
-    """Turn a 0 -> 2 cobordism into (id ⊗ E_{0,0,2}) ∘ (K ⊗ id)."""
-    if (K.n_in, K.n_out) != (0, 2):
-        raise ValueError(f"stretch2_dual needs arity 0->2, got {K.n_in}->{K.n_out}")
-    return compose(tensor(K, identity(1)),
-                   tensor(identity(1), e_block(0, 0, 2)))
-
-
-def closure(K: Cobordism, a: int) -> Cobordism:
-    """Close a 1 -> 1 cobordism inside E_{0,a,1} ∘ K ∘ E_{1,a,0}."""
-    if (K.n_in, K.n_out) != (1, 1):
-        raise ValueError(f"closure needs arity 1->1, got {K.n_in}->{K.n_out}")
-    return compose(compose(e_block(1, a, 0), K), e_block(0, a, 1))

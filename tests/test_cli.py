@@ -338,6 +338,16 @@ def test_errors_do_not_echo_long_input_values(capsys, tmp_path):
         (["zsigmondy", "--a", "3", "--b", str(-big), "--n", "1"],
          "need a > b >= 1"),
     ]
+    # a term error names the token's kind and position, never its text
+    name, digits = "a" * 100_000, "9" * 100_000
+    for term, message in ((name, "unknown generator"),
+                          (f"mu {name}", "trailing input: a name"),
+                          (f"id[{name}]", "expected a number, found a name"),
+                          (f"(mu {name}", "expected ')', found a name"),
+                          (digits, "expected a generator, found a number"),
+                          (f"id[{digits}]", "a number exceeds the limit 64"),
+                          ("E[1,\u0663,1]", "unexpected character")):
+        cases.append((["eval", "--term", term], message))
     for argv, message in cases:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -509,8 +519,17 @@ ATOMS = st.one_of(
 TERMS = st.recursive(ATOMS, lambda t: st.one_of(
     st.builds("{} ; {}".format, t, t), st.builds("{} * {}".format, t, t),
     st.builds("({})".format, t)), max_leaves=3)
+# long names and digit runs, which an echoing error would copy whole, and
+# digits and letters outside ASCII
+RUNS = st.builds(str.__mul__, st.sampled_from(["a", "9", "x_1", "\u0663",
+                                               "\uff19", "\u03bc"]),
+                 st.integers(1, 10_000))
 TERM_TEXT = st.one_of(TERMS, st.text("mutaeldsiwpE[],;*() 0123456789@",
-                                     max_size=30))
+                                     max_size=30),
+                      st.builds("{}{}{}".format,
+                                st.sampled_from(["", "mu ", "id[", "E[1,",
+                                                 "(eta ; "]),
+                                RUNS, st.sampled_from(["", "]", ",1]", ")"])))
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
                  st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),

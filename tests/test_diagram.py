@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from cobtqft.diagram import (MAX_NUMBER, MAX_TOKENS, Comp, Gen, Tens,
                              TermArityError, TermSyntaxError, arity,
                              elaborate, format_cobordism, parse, print_term)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
-from cobtqft.surface import Cobordism, component, e_block, identity, permutation
+from cobtqft.surface import (Cobordism, component, compose, e_block,
+                             identity, permutation, tensor)
 
 
 def test_parse_basic_structure():
@@ -84,6 +87,121 @@ def test_elaborated_relations_hold():
         assert elaborate(parse(left)) == elaborate(parse(right)), (left, right)
 
 
+# --- the one-pass elaborator against the compose/tensor fold --------------
+
+_REFERENCE_GENERATORS = {"mu": e_block(1, 0, 2), "eta": e_block(1, 0, 0),
+                         "delta": e_block(2, 0, 1), "eps": e_block(0, 0, 1),
+                         "swap": permutation((1, 0))}
+
+
+def _reference_elaborate(t):
+    """The recursive fold: `compose` at every ";", `tensor` at every "*"."""
+    if isinstance(t, Gen):
+        if t.name == "id":
+            return identity(t.params[0])
+        if t.name == "E":
+            return e_block(*t.params)
+        return _REFERENCE_GENERATORS[t.name]
+    if isinstance(t, Comp):
+        return compose(_reference_elaborate(t.left),
+                       _reference_elaborate(t.right))
+    if isinstance(t, Tens):
+        return tensor(_reference_elaborate(t.left),
+                      _reference_elaborate(t.right))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _random_term(rng, n_in, depth):
+    """A well-typed random term with n_in ingoing circles, and its number
+    of outgoing circles."""
+    choice = rng.random() if depth else 0
+    if choice < 0.4:
+        fixed = [(name, K.n_out)
+                 for name, K in _REFERENCE_GENERATORS.items()
+                 if K.n_in == n_in]
+        if fixed and rng.random() < 0.6:
+            name, n_out = rng.choice(fixed)
+            return Gen(name=name), n_out
+        if rng.random() < 0.3:
+            return Gen(name="id", params=(n_in,)), n_in
+        m = rng.randint(0, 3)
+        return Gen(name="E", params=(m, rng.randint(0, 2), n_in)), m
+    if choice < 0.7:
+        left, middle = _random_term(rng, n_in, depth - 1)
+        right, n_out = _random_term(rng, middle, depth - 1)
+        return Comp(left=left, right=right), n_out
+    split = rng.randint(0, n_in)
+    left, left_out = _random_term(rng, split, depth - 1)
+    right, right_out = _random_term(rng, n_in - split, depth - 1)
+    return Tens(left=left, right=right), left_out + right_out
+
+
+def test_elaborate_matches_the_compose_tensor_fold_on_random_terms():
+    rng = random.Random(12)
+    shapes = set()
+    for _ in range(600):
+        t, n_out = _random_term(rng, rng.randint(0, 3), rng.randint(1, 6))
+        K = elaborate(t)
+        assert K == _reference_elaborate(t), print_term(t)
+        assert (K.n_in, K.n_out) == arity(t) and K.n_out == n_out
+        shapes.add((bool(K.closed_genera), K.max_genus() > 0,
+                    len(K.components) > 1))
+    # closed pieces, handles and several components all occur
+    assert len(shapes) == 8
+
+
+def test_elaborate_matches_the_fold_on_chosen_words():
+    depth = (MAX_TOKENS - 1) // 2
+    cases = {
+        "id[0]": Cobordism(0, 0),
+        "E[0,3,0]": e_block(0, 3, 0),
+        "E[0,0,0] * E[0,2,0]": Cobordism(0, 0, (), (2, 0)),
+        "eta ; eps": e_block(0, 0, 0),
+        # two circles between the same two pieces roll up a handle
+        "delta ; swap ; mu": e_block(1, 1, 1),
+        "(delta * delta) ; (id[1] * mu * id[1]) ; (mu * id[1]) ; mu":
+            e_block(1, 2, 2),
+        "E[3,0,1] ; E[1,0,3]": e_block(1, 2, 1),
+        "eta ; delta ; (eps * id[1]) ; eps": e_block(0, 0, 0),
+        "(eta * eta) ; swap ; (eps * id[1])": Cobordism(
+            0, 1, [component((), (0,), 0)], (0,)),
+        "(" * depth + "delta" + ")" * depth: e_block(2, 0, 1),
+        " ; ".join(["id[1]"] * ((MAX_TOKENS + 1) // 5)): identity(1),
+    }
+    for word, K in cases.items():
+        t = parse(word)
+        assert elaborate(t) == _reference_elaborate(t) == K, word
+
+
+def test_elaborate_matches_the_fold_on_every_formatted_word():
+    checked = 0
+    for K in enumerate_cobordisms(ScanBounds(2, 1, 1, 1)):
+        t = parse(format_cobordism(K))
+        assert elaborate(t) == _reference_elaborate(t) == K, K
+        checked += 1
+    assert checked == 483
+
+
+def test_elaborate_refuses_ill_typed_and_foreign_terms():
+    # hand-built terms skip the type check of `parse`; gluing too few or
+    # too many circles must fail as compose does, never truncate
+    for left, right in (("mu", "mu"), ("delta", "eps"), ("eta", "mu")):
+        ill = Comp(left=Gen(name=left), right=Gen(name=right))
+        with pytest.raises(ValueError) as want:
+            _reference_elaborate(ill)
+        with pytest.raises(ValueError) as got:
+            elaborate(ill)
+        assert str(got.value) == str(want.value)
+        assert "boundary arities differ" in str(got.value)
+        # and so must the same gluing inside a larger term
+        with pytest.raises(ValueError) as nested:
+            elaborate(Tens(left=Gen(name="id", params=(1,)), right=ill))
+        assert str(nested.value) == str(want.value)
+    for foreign in ("mu", None, Comp(left=Gen(name="mu"), right=None)):
+        with pytest.raises(TypeError, match="not a term"):
+            elaborate(foreign)
+
+
 def test_print_parse_round_trip():
     words = ["delta ; mu", "(delta * id[1]) ; (id[1] * mu)",
              "E[2,1,3] * eta ; mu * id[1] ; E[0,2,2]",
@@ -158,8 +276,43 @@ def test_token_limit():
 def test_number_limit():
     assert elaborate(parse(f"E[1,{MAX_NUMBER},{MAX_NUMBER}]")) \
         == e_block(1, MAX_NUMBER, MAX_NUMBER)
-    for word in ("id[65]", "E[1,1200,1]", "id[" + "9" * 30 + "]"):
+    # the digits are counted before int() reads them, so even a number
+    # past Python's 4 300-digit conversion limit is a syntax error
+    for word in ("id[65]", "E[1,1200,1]", "id[" + "9" * 30 + "]",
+                 "id[" + "0" * 64 + "1]", "E[1," + "7" * 5000 + ",1]"):
         with pytest.raises(TermSyntaxError, match=f"limit {MAX_NUMBER}") \
                 as err:
             parse(word)
         assert err.value.position is not None
+
+
+def test_the_grammar_is_ascii():
+    # Arabic-Indic three, a letter mu, a no-break space and a full-width
+    # digit: str.isdigit and str.isidentifier accept them, parse does not
+    for word, pos in (("id[\u0663]", 3), ("\u03bc", 0), ("mu\u00a0; mu", 2),
+                      ("E[1,\uff11,1]", 4), ("eta\u2003", 3)):
+        with pytest.raises(TermSyntaxError, match="unexpected character") \
+                as err:
+            parse(word)
+        assert err.value.position == pos, word
+    assert parse(" mu\t;\n\r eps\f\v") == parse("mu ; eps")
+
+
+def test_errors_name_the_token_kind_not_its_text():
+    long_name, long_number = "x" * 100_000, "9" * 100_000
+    cases = [
+        (long_name, "unknown generator name", 0),
+        ("mu " + long_name, "trailing input: a name", 3),
+        ("id[" + long_name + "]", "expected a number, found a name", 3),
+        ("id[3" + long_name, "expected ']', found a name", 4),
+        (long_number, "expected a generator, found a number", 0),
+        ("mu ; ; mu", "expected a generator, found a symbol", 5),
+        ("(mu", "expected ')', found the end of the input", 3),
+        ("id[" + long_number + "]", f"a number exceeds the limit {MAX_NUMBER}",
+         3),
+    ]
+    for word, message, pos in cases:
+        with pytest.raises(TermSyntaxError) as err:
+            parse(word)
+        assert str(err.value) == f"{message} (at position {pos})", word[:20]
+

@@ -14,8 +14,8 @@ from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, ExceptionalTriple,
                                   separating_closure, zsigmondy_witness)
 from cobtqft.frobenius import faithful_algebra, qz5
 from cobtqft import surface
-from cobtqft.surface import (Cobordism, component, e_block, identity,
-                             permutation, tensor)
+from cobtqft.surface import (Cobordism, compose, component, e_block,
+                             identity, permutation, tensor)
 from cobtqft.tqft import load_algebra
 
 
@@ -155,6 +155,122 @@ def test_separating_closure_exhaustive_over_small_bounds():
         assert separating_closure(L, K) == (ms_l, ms_k)
 
 
+# --- the paper's capping contexts, built by real gluing ---------------------
+# fill, stretch and close, as the separation case analysis states them:
+# the reference that `_closing_context` collapses into one cobordism
+
+def fill_hole(K: Cobordism, x: int) -> Cobordism:
+    """Cap the boundary circle with label `x` with a disk.
+
+    An ingoing circle is filled by preceding K with id ⊗ E_{1,0,0} ⊗ id,
+    an outgoing one by following it with id ⊗ E_{0,0,1} ⊗ id; the
+    remaining circles on that side close up the index gap.
+    """
+    if not 0 <= x < K.n_in + K.n_out:
+        raise ValueError(f"no boundary label {x} on a {K.n_in}->{K.n_out} "
+                         f"cobordism")
+    if x < K.n_in:
+        context = tensor(tensor(identity(x), e_block(1, 0, 0)),
+                         identity(K.n_in - x - 1))
+        return compose(context, K)
+    j = x - K.n_in
+    context = tensor(tensor(identity(j), e_block(0, 0, 1)),
+                     identity(K.n_out - j - 1))
+    return compose(K, context)
+
+
+def stretch1(K: Cobordism) -> Cobordism:
+    """Turn a 1 -> 0 cobordism into the 1 -> 1 cobordism (K ⊗ id) ∘ E_{2,0,1}."""
+    if (K.n_in, K.n_out) != (1, 0):
+        raise ValueError(f"stretch1 needs arity 1->0, got {K.n_in}->{K.n_out}")
+    return compose(e_block(2, 0, 1), tensor(K, identity(1)))
+
+
+def stretch1_dual(K: Cobordism) -> Cobordism:
+    """Turn a 0 -> 1 cobordism into the 1 -> 1 cobordism E_{1,0,2} ∘ (K ⊗ id)."""
+    if (K.n_in, K.n_out) != (0, 1):
+        raise ValueError(f"stretch1_dual needs arity 0->1, got {K.n_in}->{K.n_out}")
+    return compose(tensor(K, identity(1)), e_block(1, 0, 2))
+
+
+def stretch2(K: Cobordism) -> Cobordism:
+    """Turn a 2 -> 0 cobordism into (K ⊗ id) ∘ (id ⊗ E_{2,0,0})."""
+    if (K.n_in, K.n_out) != (2, 0):
+        raise ValueError(f"stretch2 needs arity 2->0, got {K.n_in}->{K.n_out}")
+    return compose(tensor(identity(1), e_block(2, 0, 0)),
+                   tensor(K, identity(1)))
+
+
+def stretch2_dual(K: Cobordism) -> Cobordism:
+    """Turn a 0 -> 2 cobordism into (id ⊗ E_{0,0,2}) ∘ (K ⊗ id)."""
+    if (K.n_in, K.n_out) != (0, 2):
+        raise ValueError(f"stretch2_dual needs arity 0->2, got {K.n_in}->{K.n_out}")
+    return compose(tensor(K, identity(1)),
+                   tensor(identity(1), e_block(0, 0, 2)))
+
+
+def closure(K: Cobordism, a: int) -> Cobordism:
+    """Close a 1 -> 1 cobordism inside E_{0,a,1} ∘ K ∘ E_{1,a,0}."""
+    if (K.n_in, K.n_out) != (1, 1):
+        raise ValueError(f"closure needs arity 1->1, got {K.n_in}->{K.n_out}")
+    return compose(compose(e_block(1, a, 0), K), e_block(0, a, 1))
+
+
+def cap_and_cup():
+    # the disconnected 1 -> 1 cobordism: a cap on the in-circle, a cup
+    # on the out-circle
+    return Cobordism(1, 1, [component((0,), (), 0), component((), (0,), 0)])
+
+
+def test_fill_hole():
+    sphere = fill_hole(fill_hole(identity(1), 0), 0)
+    assert sphere == e_block(0, 0, 0)
+    assert fill_hole(identity(1), 1) == e_block(0, 0, 1)
+    assert fill_hole(e_block(1, 1, 1), 0) == e_block(1, 1, 0)
+    assert fill_hole(e_block(0, 0, 2), 1) == e_block(0, 0, 1)
+    for x in (2, -1):
+        with pytest.raises(ValueError, match=f"no boundary label {x}"):
+            fill_hole(identity(1), x)
+    with pytest.raises(ValueError):
+        fill_hole(e_block(0, 0, 0), 0)
+
+
+def test_fill_hole_is_the_capping_context():
+    # explicit context composition agrees hole by hole
+    K = Cobordism(2, 2, [component((0,), (1,), 1), component((1,), (0,), 0)])
+    ctx = tensor(tensor(identity(1), e_block(1, 0, 0)), identity(0))
+    assert fill_hole(K, 1) == compose(ctx, K)
+    ctx = tensor(tensor(identity(0), e_block(0, 0, 1)), identity(1))
+    assert fill_hole(K, 2) == compose(K, ctx)
+
+
+def test_stretch1():
+    assert stretch1(e_block(0, 1, 1)) == e_block(1, 1, 1)
+    assert stretch1(e_block(0, 0, 1)) == identity(1)
+    assert stretch1_dual(e_block(1, 2, 0)) == e_block(1, 2, 1)
+    with pytest.raises(ValueError):
+        stretch1(e_block(1, 0, 1))
+
+
+def test_stretch2():
+    assert stretch2(e_block(0, 0, 2)) == identity(1)
+    assert stretch2(e_block(0, 1, 2)) == e_block(1, 1, 1)
+    caps = tensor(e_block(0, 0, 1), e_block(0, 0, 1))
+    assert stretch2(caps) == cap_and_cup()
+    assert stretch2_dual(e_block(2, 1, 0)) == e_block(1, 1, 1)
+    with pytest.raises(ValueError):
+        stretch2(e_block(0, 0, 1))
+
+
+def test_closure():
+    for a in (1, 2, 3):
+        assert closure(identity(1), a) == Cobordism(0, 0, (), (2 * a,))
+        assert closure(e_block(1, 2, 1), a) == Cobordism(0, 0, (), (2 + 2 * a,))
+        assert closure(cap_and_cup(), a) == Cobordism(0, 0, (), (a, a))
+    with pytest.raises(ValueError):
+        closure(e_block(1, 0, 2), 1)
+
+
 def _reference_separating_closure(K, L):
     """The separation case analysis written out directly on boundary
     partitions (`surface.rho`), per-label dictionaries and label pairs:
@@ -189,7 +305,7 @@ def _reference_fill(K, kept):
     filled = 0
     for x in range(K.n_in + K.n_out):
         if x not in kept:
-            K = surface.fill_hole(K, x - filled)
+            K = fill_hole(K, x - filled)
             filled += 1
     return K
 
@@ -198,14 +314,14 @@ def _reference_fill(K, kept):
 def _reference_close(K, kept, a):
     K = _reference_fill(K, kept)
     if (K.n_in, K.n_out) == (1, 0):
-        K = surface.stretch1(K)
+        K = stretch1(K)
     elif (K.n_in, K.n_out) == (0, 1):
-        K = surface.stretch1_dual(K)
+        K = stretch1_dual(K)
     elif (K.n_in, K.n_out) == (2, 0):
-        K = surface.stretch2(K)
+        K = stretch2(K)
     elif (K.n_in, K.n_out) == (0, 2):
-        K = surface.stretch2_dual(K)
-    return GenusMultiset(surface.closure(K, a).closed_genera)
+        K = stretch2_dual(K)
+    return GenusMultiset(closure(K, a).closed_genera)
 
 
 def test_separating_closure_exhaustive_two_circles():

@@ -2,24 +2,17 @@ import itertools
 
 import pytest
 
+from cobtqft import surface
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, Cobordism,
-                             closure, component, compose, e_block, fill_hole,
-                             identity, owners, permutation, rho, routing,
-                             stretch1, stretch1_dual, stretch2, stretch2_dual,
-                             tensor)
+                             component, compose, e_block, identity, owners,
+                             permutation, rho, routing, tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
 
 def small_enumeration():
     return enumerate_cobordisms(SMALL)
-
-
-def cap_and_cup():
-    # the disconnected 1 -> 1 cobordism: a cap on the in-circle, a cup
-    # on the out-circle
-    return Cobordism(1, 1, [component((0,), (), 0), component((), (0,), 0)])
 
 
 def test_e_block_shapes():
@@ -78,6 +71,15 @@ def test_compose_multiple_gluings_create_genus():
     # four circles between two components
     K = compose(e_block(3, 0, 1), e_block(1, 0, 3))
     assert K == e_block(1, 2, 1)
+
+
+def test_glue_refuses_a_piece_of_impossible_characteristic():
+    # one free circle leaves characteristic at most 1, and 2 - chi - b is
+    # twice a genus, so it must be even
+    for chis, ins in (([3], [0]), ([2], [0]), ([1, 0], [])):
+        with pytest.raises(RuntimeError, match="Euler characteristic"):
+            surface._glue(chis, ins, [], [])
+    assert surface._glue([0, 0], [0], [1], [(0, 1)]) == identity(1)
 
 
 def test_tensor():
@@ -156,55 +158,6 @@ def test_rho_blocks_are_the_owner_classes():
         assert sorted(block_of) == list(range(K.n_in + K.n_out))
         for x, y in itertools.combinations(range(K.n_in + K.n_out), 2):
             assert (block_of[x] == block_of[y]) == (owner[x] == owner[y])
-
-
-def test_fill_hole():
-    sphere = fill_hole(fill_hole(identity(1), 0), 0)
-    assert sphere == e_block(0, 0, 0)
-    assert fill_hole(identity(1), 1) == e_block(0, 0, 1)
-    assert fill_hole(e_block(1, 1, 1), 0) == e_block(1, 1, 0)
-    assert fill_hole(e_block(0, 0, 2), 1) == e_block(0, 0, 1)
-    for x in (2, -1):
-        with pytest.raises(ValueError, match=f"no boundary label {x}"):
-            fill_hole(identity(1), x)
-    with pytest.raises(ValueError):
-        fill_hole(e_block(0, 0, 0), 0)
-
-
-def test_fill_hole_is_the_capping_context():
-    # explicit context composition agrees hole by hole
-    K = Cobordism(2, 2, [component((0,), (1,), 1), component((1,), (0,), 0)])
-    ctx = tensor(tensor(identity(1), e_block(1, 0, 0)), identity(0))
-    assert fill_hole(K, 1) == compose(ctx, K)
-    ctx = tensor(tensor(identity(0), e_block(0, 0, 1)), identity(1))
-    assert fill_hole(K, 2) == compose(K, ctx)
-
-
-def test_stretch1():
-    assert stretch1(e_block(0, 1, 1)) == e_block(1, 1, 1)
-    assert stretch1(e_block(0, 0, 1)) == identity(1)
-    assert stretch1_dual(e_block(1, 2, 0)) == e_block(1, 2, 1)
-    with pytest.raises(ValueError):
-        stretch1(e_block(1, 0, 1))
-
-
-def test_stretch2():
-    assert stretch2(e_block(0, 0, 2)) == identity(1)
-    assert stretch2(e_block(0, 1, 2)) == e_block(1, 1, 1)
-    caps = tensor(e_block(0, 0, 1), e_block(0, 0, 1))
-    assert stretch2(caps) == cap_and_cup()
-    assert stretch2_dual(e_block(2, 1, 0)) == e_block(1, 1, 1)
-    with pytest.raises(ValueError):
-        stretch2(e_block(0, 0, 1))
-
-
-def test_closure():
-    for a in (1, 2, 3):
-        assert closure(identity(1), a) == Cobordism(0, 0, (), (2 * a,))
-        assert closure(e_block(1, 2, 1), a) == Cobordism(0, 0, (), (2 + 2 * a,))
-        assert closure(cap_and_cup(), a) == Cobordism(0, 0, (), (a, a))
-    with pytest.raises(ValueError):
-        closure(e_block(1, 0, 2), 1)
 
 
 def test_canonical_order_makes_equality_structural():

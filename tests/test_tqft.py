@@ -251,7 +251,7 @@ def test_context_functoriality_covers_stretches_and_closure():
     A = faithful_algebra()
     d = A.dim
     idm = RationalMatrix.identity(d)
-    from cobtqft.surface import closure, stretch1, stretch2_dual
+    from test_faithfulness import closure, stretch1, stretch2_dual
 
     K = Cobordism(1, 0, [component((0,), (), 1)], (1,))
     lhs = evaluate(A, stretch1(K)).matrix
