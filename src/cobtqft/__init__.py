@@ -10,7 +10,7 @@ matrices to distinct cobordisms.
 
 from .exact import RationalMatrix, kron, mat_mul
 from .surface import (Cobordism, Component, component, compose, e_block,
-                      permutation, rho, tensor)
+                      permutation, tensor)
 from .diagram import (Term, TermArityError, TermError, TermSyntaxError,
                       elaborate, format_cobordism, parse, print_term)
 from .frobenius import (FiniteGroup, FrobeniusAlgebra,

@@ -25,7 +25,7 @@ Error messages name a token by its kind and position, never its text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import surface
@@ -50,57 +50,31 @@ class TermArityError(TermError):
     pass
 
 
-@dataclass(frozen=True)
 class Term:
-    pos: int = field(default=-1, compare=False, kw_only=True)
+    """A generator word: a `Gen`, a `Comp` or a `Tens`."""
 
 
 @dataclass(frozen=True)
 class Gen(Term):
-    name: str = ""
+    name: str
     params: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class Comp(Term):
-    left: Term = None
-    right: Term = None
+    left: Term
+    right: Term
 
 
 @dataclass(frozen=True)
 class Tens(Term):
-    left: Term = None
-    right: Term = None
+    left: Term
+    right: Term
 
 
 # the connected generators, as the parameters m, k, n of E[m,k,n]
 _BLOCKS = {"mu": (1, 0, 2), "eta": (1, 0, 0), "delta": (2, 0, 1),
            "eps": (0, 0, 1)}
-
-
-def arity(t: Term) -> tuple[int, int]:
-    """(ingoing, outgoing) arity, checking composability bottom-up."""
-    if isinstance(t, Gen):
-        if t.name == "id":
-            (n,) = t.params
-            return n, n
-        if t.name == "swap":
-            return 2, 2
-        m, _, n = t.params if t.name == "E" else _BLOCKS[t.name]
-        return n, m
-    if isinstance(t, Tens):
-        ln, lm = arity(t.left)
-        rn, rm = arity(t.right)
-        return ln + rn, lm + rm
-    if isinstance(t, Comp):
-        ln, lm = arity(t.left)
-        rn, rm = arity(t.right)
-        if lm != rn:
-            raise TermArityError(
-                f"cannot compose {ln}->{lm} with {rn}->{rm}: "
-                f"{lm} outgoing circles meet {rn} ingoing", t.right.pos)
-        return ln, rm
-    raise TypeError(f"not a term: {t!r}")
 
 
 MAX_TOKENS = 500
@@ -131,9 +105,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that type-checks as it reads: `term`, `tens` and
+    `atom` return a subterm with its ingoing and outgoing arity and the
+    position of its first generator."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.fault: Optional[TermArityError] = None  # the first ill-typed ";"
 
     def peek(self):
         return self.tokens[self.i]
@@ -148,7 +127,6 @@ class _Parser:
         if text != value:
             raise TermSyntaxError(f"expected {value!r}, found {_KINDS[kind]}",
                                   pos)
-        return pos
 
     def parse_int(self) -> int:
         kind, text, pos = self.next()
@@ -162,36 +140,45 @@ class _Parser:
                                   pos)
         return n
 
-    def term(self) -> Term:
-        t = self.tens()
+    def term(self):
+        t, n, m, pos = self.tens()
         while self.peek()[1] == ";":
             self.next()
-            t = Comp(left=t, right=self.tens(), pos=t.pos)
-        return t
+            right, rn, rm, right_pos = self.tens()
+            if m != rn and self.fault is None:
+                self.fault = TermArityError(
+                    f"cannot compose {n}->{m} with {rn}->{rm}: "
+                    f"{m} outgoing circles meet {rn} ingoing", right_pos)
+            t, m = Comp(t, right), rm
+        return t, n, m, pos
 
-    def tens(self) -> Term:
-        t = self.atom()
+    def tens(self):
+        t, n, m, pos = self.atom()
         while self.peek()[1] == "*":
             self.next()
-            t = Tens(left=t, right=self.atom(), pos=t.pos)
-        return t
+            right, rn, rm, _ = self.atom()
+            t, n, m = Tens(t, right), n + rn, m + rm
+        return t, n, m, pos
 
-    def atom(self) -> Term:
+    def atom(self):
         kind, text, pos = self.next()
         if text == "(":
-            t = self.term()
+            parsed = self.term()
             self.expect(")")
-            return t
+            return parsed
         if kind != "name":
             raise TermSyntaxError(
                 f"expected a generator, found {_KINDS[kind]}", pos)
-        if text in _BLOCKS or text == "swap":
-            return Gen(name=text, pos=pos)
+        if text in _BLOCKS:
+            m, _, n = _BLOCKS[text]
+            return Gen(text), n, m, pos
+        if text == "swap":
+            return Gen(text), 2, 2, pos
         if text == "id":
             self.expect("[")
             n = self.parse_int()
             self.expect("]")
-            return Gen(name="id", params=(n,), pos=pos)
+            return Gen("id", (n,)), n, n, pos
         if text == "E":
             self.expect("[")
             m = self.parse_int()
@@ -200,18 +187,23 @@ class _Parser:
             self.expect(",")
             n = self.parse_int()
             self.expect("]")
-            return Gen(name="E", params=(m, k, n), pos=pos)
+            return Gen("E", (m, k, n)), n, m, pos
         raise TermSyntaxError("unknown generator name", pos)
 
 
 def parse(text: str) -> Term:
-    """Parse and type-check a generator word."""
+    """Parse and type-check a generator word.
+
+    Syntax errors come first; then the first ill-typed ";" in reading
+    order raises TermArityError at its right operand's first generator.
+    """
     p = _Parser(text)
-    t = p.term()
+    t = p.term()[0]
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError(f"trailing input: {_KINDS[kind]}", pos)
-    arity(t)  # raises TermArityError on ill-typed words
+    if p.fault is not None:
+        raise p.fault
     return t
 
 
@@ -356,8 +348,10 @@ def format_cobordism(K: Cobordism) -> str:
     and numbers up to MAX_NUMBER (a swap among 67 circles may need
     id[65]).  Beyond them this raises ValueError naming both limits.
     """
-    p_in, out_order = surface.routing(K)
-    word = _perm_word(p_in) if K.n_in else None
+    # route the circles to and from the order in which the components,
+    # taken in turn, list them
+    in_order = [i for c in K.components for i in c.ingoing]
+    word = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
     blocks: Optional[Term] = None
     for c in K.components:
         piece = _seq(_mu_tree(len(c.ingoing)),
@@ -366,7 +360,8 @@ def format_cobordism(K: Cobordism) -> str:
             piece = Gen(name="id", params=(1,))
         blocks = piece if blocks is None else Tens(left=blocks, right=piece)
     word = _seq(word, blocks)
-    word = _seq(word, _perm_word(out_order) if K.n_out else None)
+    word = _seq(word, _perm_word([j for c in K.components
+                                  for j in c.outgoing]))
     for g in K.closed_genera:
         piece = _seq(Gen(name="eta"), _seq(_handle_word(g), Gen(name="eps")))
         word = piece if word is None else Tens(left=word, right=piece)

@@ -257,6 +257,9 @@ def separating_closure(K: Cobordism, L: Cobordism
 
 # The most cobordisms a scan enumerates; (2,3,2,4) has 22 197.
 MAX_SCAN_COBORDISMS = 25_000
+# The most matrix entries a scan evaluates, summed over its cobordisms;
+# under A, (3,0,0,0) has 2.4e9 and (3,1,0,0) 2.8e10.
+MAX_SCAN_ENTRIES = 3 * 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -282,19 +285,26 @@ class ScanBounds:
         surface.check_input_genus(max(self.max_genus, self.max_closed_genus))
 
     def cobordism_count(self) -> int:
-        """How many cobordisms the bounds admit, without enumerating them.
+        """How many cobordisms the bounds admit, without enumerating them:
+        under a 1-dimensional algebra every matrix has one entry."""
+        return self.matrix_entries(1)
 
-        n boundary circles split into k components in S(n, k) ways (the
-        Stirling numbers of the second kind), each with max_genus + 1
-        genera; the sums t[n] = Σ_k S(n, k)·x^k obey the Touchard
-        recurrence t[n+1] = x·Σ_i C(n, i)·t[i].  The closed multisets
-        number C(max_closed_genus + 1 + max_closed, max_closed).
+    def matrix_entries(self, dim: int) -> int:
+        """The entries of all the scan's matrices under a dim-dimensional
+        algebra, summed without enumerating anything.
+
+        An n_in -> n_out cobordism has a matrix of dim^(n_in + n_out)
+        entries.  n boundary circles split into k components in S(n, k)
+        ways (the Stirling numbers of the second kind), each with
+        max_genus + 1 genera; the sums t[n] = Σ_k S(n, k)·x^k obey the
+        Touchard recurrence t[n+1] = x·Σ_i C(n, i)·t[i].  The closed
+        multisets number C(max_closed_genus + 1 + max_closed, max_closed).
         """
         x = self.max_genus + 1
         t = [1]
         for n in range(2 * self.max_circles):
             t.append(x * sum(math.comb(n, i) * ti for i, ti in enumerate(t)))
-        boundary = sum(t[n_in + n_out]
+        boundary = sum(t[n_in + n_out] * dim ** (n_in + n_out)
                        for n_in in range(self.max_circles + 1)
                        for n_out in range(self.max_circles + 1))
         return boundary * math.comb(
@@ -381,11 +391,16 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
     matrix route only.  Arity classes are scanned in enumeration order
     and the first collision is reported; cross-arity pairs differ by
     shape and are counted without further work.  Bounds whose largest
-    matrices would exceed ``tqft.MAX_EVAL_ENTRIES`` raise ValueError
-    before the axioms are checked or anything is enumerated.
+    matrices would exceed ``tqft.MAX_EVAL_ENTRIES``, or whose matrices
+    together would exceed MAX_SCAN_ENTRIES, raise ValueError before the
+    axioms are checked or anything is enumerated.
     """
     a = load_algebra(algebra)
     check_matrix_size(a, bounds.max_circles, bounds.max_circles)
+    if bounds.matrix_entries(a.dim) > MAX_SCAN_ENTRIES:
+        raise ValueError(f"the scan's matrices under a {a.dim}-dimensional "
+                         f"algebra hold more than {MAX_SCAN_ENTRIES} "
+                         f"entries in all")
     ensure_verified(a)
     reference = load_algebra("A")  # compared, so it need not be verified
     cross_check = all(getattr(a, name) == getattr(reference, name)

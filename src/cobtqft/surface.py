@@ -302,32 +302,3 @@ def tensor(first: Cobordism, second: Cobordism) -> Cobordism:
                                c.genus))
     return Cobordism(first.n_in + second.n_in, first.n_out + second.n_out,
                      comps, first.closed_genera + second.closed_genera)
-
-
-def routing(K: Cobordism) -> tuple[list[int], list[int]]:
-    """How the components, taken in order, meet the boundary circles.
-
-    Listing every component's ingoing circles in turn puts ingoing
-    circle i at slot ``p_in[i]``; listing their outgoing circles the
-    same way gives ``out_order``.  Both are sorted exactly when the
-    circles already come in component order.
-    """
-    in_order = [i for c in K.components for i in c.ingoing]
-    p_in = [0] * K.n_in
-    for slot, i in enumerate(in_order):
-        p_in[i] = slot
-    return p_in, [j for c in K.components for j in c.outgoing]
-
-
-def rho(K: Cobordism) -> tuple[tuple[int, ...], ...]:
-    """The partition of boundary labels by connected component: one
-    ascending tuple of labels per component, in component order.
-
-    Closed pieces carry no labels and do not appear.  Components are
-    ordered by their least label, so two cobordisms have equal boundary
-    partitions iff the returned values compare equal.
-    """
-    blocks: list[list[int]] = [[] for _ in K.components]
-    for x, idx in enumerate(owners(K)):
-        blocks[idx].append(x)
-    return tuple(map(tuple, blocks))

@@ -478,6 +478,18 @@ def test_scan_refuses_matrices_above_the_eval_limit(capsys, tmp_path):
     assert code in (0, 1) and json.loads(out)["enumerated"] == 34
 
 
+def test_scan_refuses_bounds_whose_matrices_exceed_the_summed_limit(capsys):
+    # each limit alone admits (3,1,0,0), but its matrices under A would
+    # hold 2.8e10 entries in all; the scan refuses before it evaluates
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--max-circles", "3",
+                         "--max-genus", "1", "--max-closed", "0",
+                         "--max-closed-genus", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "hold more than 3000000000 entries in all" in err
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

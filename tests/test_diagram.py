@@ -3,8 +3,8 @@ import random
 import pytest
 
 from cobtqft.diagram import (MAX_NUMBER, MAX_TOKENS, Comp, Gen, Tens,
-                             TermArityError, TermSyntaxError, arity,
-                             elaborate, format_cobordism, parse, print_term)
+                             TermArityError, TermSyntaxError, elaborate,
+                             format_cobordism, parse, print_term)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block,
                              identity, permutation, tensor)
@@ -13,7 +13,7 @@ from cobtqft.surface import (Cobordism, component, compose, e_block,
 def test_parse_basic_structure():
     t = parse("delta ; mu")
     assert t == Comp(left=Gen(name="delta"), right=Gen(name="mu"))
-    assert arity(t) == (1, 1)
+    assert (elaborate(t).n_in, elaborate(t).n_out) == (1, 1)
 
 
 def test_parse_precedence_and_associativity():
@@ -22,7 +22,7 @@ def test_parse_precedence_and_associativity():
     assert isinstance(t, Comp)
     assert isinstance(t.left, Tens) and isinstance(t.right, Tens)
     assert parse("(delta * id[1]) ; (id[1] * mu)") == t
-    assert arity(t) == (2, 2)
+    assert (elaborate(t).n_in, elaborate(t).n_out) == (2, 2)
     left_assoc = parse("eps ; eta ; eps ; eta")
     assert isinstance(left_assoc, Comp) and isinstance(left_assoc.left, Comp)
 
@@ -30,7 +30,6 @@ def test_parse_precedence_and_associativity():
 def test_parse_sugar_block():
     t = parse("E[2,1,3]")
     assert t == Gen(name="E", params=(2, 1, 3))
-    assert arity(t) == (3, 2)
     assert elaborate(t) == e_block(2, 1, 3)
 
 
@@ -140,14 +139,67 @@ def test_elaborate_matches_the_compose_tensor_fold_on_random_terms():
     rng = random.Random(12)
     shapes = set()
     for _ in range(600):
-        t, n_out = _random_term(rng, rng.randint(0, 3), rng.randint(1, 6))
+        n_in = rng.randint(0, 3)
+        t, n_out = _random_term(rng, n_in, rng.randint(1, 6))
         K = elaborate(t)
         assert K == _reference_elaborate(t), print_term(t)
-        assert (K.n_in, K.n_out) == arity(t) and K.n_out == n_out
+        assert (K.n_in, K.n_out) == (n_in, n_out)
+        # and parse type-checks the word as well typed
+        assert parse(print_term(t)) == t
         shapes.add((bool(K.closed_genera), K.max_genus() > 0,
                     len(K.components) > 1))
     # closed pieces, handles and several components all occur
     assert len(shapes) == 8
+
+
+def _first_generator(text):
+    """Offset of the first generator in a printed term."""
+    return len(text) - len(text.lstrip("("))
+
+
+def test_first_ill_typed_composition_is_reported_after_syntax_errors():
+    rng = random.Random(13)
+
+    def layer(n_in):
+        t, n_out = _random_term(rng, n_in, rng.randint(0, 2))
+        return f"({print_term(t)})", n_out
+
+    for _ in range(300):
+        # parenthesized well-typed layers, one of which takes one circle
+        # more than the layers before it give
+        width, bad = rng.randint(0, 2), rng.randint(1, 3)
+        texts = []
+        for index in range(4):
+            text, width = layer(width + (index == bad))
+            if index == bad:
+                expected = (len(" ; ".join(texts + [""]))
+                            + _first_generator(text))
+            texts.append(text)
+        word = " ; ".join(texts)
+        with pytest.raises(TermArityError) as err:
+            parse(word)
+        assert err.value.position == expected, word
+        # a syntax error anywhere in the word takes precedence
+        with pytest.raises(TermSyntaxError) as err:
+            parse(word + ")")
+        assert str(err.value) == \
+            f"trailing input: a symbol (at position {len(word)})"
+        # with faults at both ";" of a ; (b ; c), the inner one comes
+        # first in reading order, and in (a ; b) ; c the left one does
+        n0 = rng.randint(0, 2)
+        a, n1 = layer(n0)
+        b, n2 = layer(n1 + 1)
+        c, n3 = layer(n2 + 1)
+        inner, left = f"{a} ; ({b} ; ", f"({a} ; "
+        for word, position, arities in (
+                (f"{inner}{c})", len(inner) + _first_generator(c),
+                 f"{n1 + 1}->{n2} with {n2 + 1}->{n3}"),
+                (f"{left}{b}) ; {c}", len(left) + _first_generator(b),
+                 f"{n0}->{n1} with {n1 + 1}->{n2}")):
+            with pytest.raises(TermArityError) as err:
+                parse(word)
+            assert err.value.position == position, word
+            assert str(err.value).startswith(f"cannot compose {arities}:")
 
 
 def test_elaborate_matches_the_fold_on_chosen_words():

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, ExceptionalTriple,
-                                  GenusMultiset, ScanBounds,
+from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, MAX_SCAN_ENTRIES,
+                                  ExceptionalTriple, GenusMultiset, ScanBounds,
                                   _closing_context, enumerate_cobordisms,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
@@ -273,8 +273,8 @@ def test_closure():
 
 def _reference_separating_closure(K, L):
     """The separation case analysis written out directly on boundary
-    partitions (`surface.rho`), per-label dictionaries and label pairs:
-    the reference that the module's precomputed tuples must match.
+    partitions (sets of label blocks), per-label dictionaries and label
+    pairs: the reference that the module's precomputed tuples must match.
     Label i is ingoing circle i, label n_in + j outgoing circle j."""
     comp_k, genus_k, comp_l, genus_l = {}, {}, {}, {}
     for X, comp_of, genus_of in ((K, comp_k, genus_k), (L, comp_l, genus_l)):
@@ -283,7 +283,10 @@ def _reference_separating_closure(K, L):
                 comp_of[label] = idx
                 genus_of[label] = c.genus
     labels = range(K.n_in + K.n_out)
-    if surface.rho(K) == surface.rho(L):
+    partition_k, partition_l = (
+        {frozenset(c.ingoing) | {X.n_in + j for j in c.outgoing}
+         for c in X.components} for X in (K, L))
+    if partition_k == partition_l:
         diff = next((x for x in labels if genus_k[x] != genus_l[x]), None)
         if diff is None:
             return (GenusMultiset(_reference_fill(K, ()).closed_genera),
@@ -463,6 +466,8 @@ def test_cobordism_count_from_the_bounds():
         bounds = ScanBounds(*bounds)
         assert bounds.cobordism_count() == count
         assert len(enumerate_cobordisms(bounds)) == count
+        assert bounds.matrix_entries(15) == sum(
+            15 ** (K.n_in + K.n_out) for K in enumerate_cobordisms(bounds))
 
 
 def test_scan_refuses_more_cobordisms_than_the_limit():
@@ -472,6 +477,15 @@ def test_scan_refuses_more_cobordisms_than_the_limit():
                    (3, 10 ** 6, 10 ** 9, 10 ** 6)):
         with pytest.raises(ValueError, match="more than 25000 cobordisms"):
             ScanBounds(*bounds)
+
+
+def test_scan_refuses_more_matrix_entries_than_the_limit():
+    assert MAX_SCAN_ENTRIES == 3 * 10 ** 9
+    for bounds in ((2, 2, 1, 3), (2, 3, 2, 4), (3, 0, 0, 0)):
+        assert ScanBounds(*bounds).matrix_entries(15) <= MAX_SCAN_ENTRIES
+    # 3 731 cobordisms and 15^6 entries a matrix pass the other limits
+    with pytest.raises(ValueError, match="more than 3000000000 entries"):
+        faithfulness_scan(ScanBounds(3, 1, 0, 0))
 
 
 def test_scan_refuses_genus_bounds_above_the_input_limit():

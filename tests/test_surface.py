@@ -6,7 +6,7 @@ from cobtqft import surface
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, Cobordism,
                              component, compose, e_block, identity, owners,
-                             permutation, rho, routing, tensor)
+                             permutation, tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
@@ -137,27 +137,16 @@ def test_euler_characteristic_additive_under_compose():
                 == K.euler_characteristic() + L.euler_characteristic()
 
 
-def test_rho():
+def test_owners():
     K = Cobordism(3, 4, [component((0, 2), (0, 2), 2),
                          component((1,), (1, 3), 0)], (1,))
     assert owners(K) == (0, 1, 0, 0, 1, 0, 1)
-    assert rho(K) == ((0, 2, 3, 5), (1, 4, 6))
-    assert rho(identity(2)) == ((0, 2), (1, 3))
-    assert rho(e_block(0, 4, 0)) == ()
+    assert owners(identity(2)) == (0, 1, 0, 1)
+    assert owners(e_block(0, 4, 0)) == ()
     # a component with outgoing circles only is ordered by n_in + its
     # least outgoing circle
-    assert rho(Cobordism(1, 2, [component((), (0,), 0),
-                                component((0,), (1,), 1)])) == ((0, 2), (1,))
-
-
-def test_rho_blocks_are_the_owner_classes():
-    for K in small_enumeration():
-        owner = owners(K)
-        assert len(owner) == K.n_in + K.n_out
-        block_of = {x: b for b, block in enumerate(rho(K)) for x in block}
-        assert sorted(block_of) == list(range(K.n_in + K.n_out))
-        for x, y in itertools.combinations(range(K.n_in + K.n_out), 2):
-            assert (block_of[x] == block_of[y]) == (owner[x] == owner[y])
+    assert owners(Cobordism(1, 2, [component((), (0,), 0),
+                                   component((0,), (1,), 1)])) == (0, 1, 0)
 
 
 def test_canonical_order_makes_equality_structural():
@@ -216,14 +205,3 @@ def test_json_circle_limit():
     with pytest.raises(ValueError, match="input limit"):
         Cobordism.from_json_obj({"in": 10 ** 9, "out": 0, "components": [],
                                  "closed": []})
-
-
-def test_routing_lists_circles_in_component_order():
-    # components in order: {in 0, out 2}, {in 1, out 0}, {in 2, out 1}
-    K = Cobordism(3, 3, [component((0,), (2,), 0), component((1,), (0,), 0),
-                         component((2,), (1,), 0)])
-    assert routing(K) == ([0, 1, 2], [2, 0, 1])
-    # ingoing circle 2 shares the first component, so it takes slot 1
-    L = Cobordism(3, 1, [component((0, 2), (0,), 0), component((1,), (), 0)])
-    assert routing(L) == ([0, 2, 1], [0])
-    assert routing(identity(2)) == ([0, 1], [0, 1])

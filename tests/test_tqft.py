@@ -8,7 +8,7 @@ from cobtqft.frobenius import (FrobeniusAlgebra, faithful_algebra, qz5,
                                tensor_algebra, zqs3)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block, identity,
-                             permutation, routing, tensor)
+                             permutation, tensor)
 from cobtqft.tqft import (ALGEBRAS, AxiomFailure, closed_invariant,
                           component_matrix, evaluate, handle_power,
                           iterated_comul, iterated_mul, load_algebra,
@@ -197,7 +197,9 @@ def _reference_evaluate(a, K):
     for c in K.components:
         matrix = kron(matrix, component_matrix(
             a, len(c.outgoing), c.genus, len(c.ingoing)))
-    p_in, out_order = routing(K)
+    in_order = [i for c in K.components for i in c.ingoing]
+    p_in = [in_order.index(i) for i in range(K.n_in)]
+    out_order = [j for c in K.components for j in c.outgoing]
     matrix = mat_mul(_reference_route(out_order, a.dim),
                      mat_mul(matrix, _reference_route(p_in, a.dim)))
     scalar = F(1)
