@@ -15,8 +15,8 @@ from .diagram import (Term, TermArityError, TermError, TermSyntaxError,
                       elaborate, format_cobordism, parse, print_term)
 from .frobenius import (FiniteGroup, FrobeniusAlgebra,
                         center_of_group_algebra, faithful_algebra,
-                        group_algebra, pairing_copairing, qz5,
-                        tensor_algebra, verify_frobenius, zqs3)
+                        group_algebra, qz5, tensor_algebra,
+                        verify_frobenius, zqs3)
 from .tqft import (ALGEBRAS, Evaluation, closed_invariant, evaluate,
                    iterated_comul, iterated_mul, load_algebra,
                    zqs3_handle_power)

@@ -146,9 +146,10 @@ class _Parser:
             self.next()
             right, rn, rm, right_pos = self.tens()
             if m != rn and self.fault is None:
+                meet = "circle meets" if m == 1 else "circles meet"
                 self.fault = TermArityError(
                     f"cannot compose {n}->{m} with {rn}->{rm}: "
-                    f"{m} outgoing circles meet {rn} ingoing", right_pos)
+                    f"{m} outgoing {meet} {rn} ingoing", right_pos)
             t, m = Comp(t, right), rm
         return t, n, m, pos
 

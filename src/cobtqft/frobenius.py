@@ -8,6 +8,12 @@ the center of the group algebra of the symmetric group of degree 3;
 their tensor product is the 15-dimensional algebra whose field theory
 the faithfulness scan certifies.
 
+No matrix is inverted.  On the class sums C_i the pairing counit∘mul
+is a permutation matrix scaled by the class sizes, so its inverse, the
+copairing, is γ = Σ_i |C_i|⁻¹ · C_i ⊗ C_ī, with C_ī the class of the
+inverses (Kock, *Frobenius Algebras and 2D Topological Quantum Field
+Theories*, 2003); :func:`center_of_group_algebra` says why.
+
 An abelian group algebra is its own center, so ``group_algebra`` is
 ``center_of_group_algebra`` with the counit scaled by the group order
 |G| and the comultiplication by 1/|G|.  With that counit the handle
@@ -162,11 +168,6 @@ class FrobeniusAlgebra:
         return cls(obj["dim"], *maps)
 
 
-class PairingData(NamedTuple):
-    pairing: RationalMatrix    # 1 x dim^2
-    copairing: RationalMatrix  # dim^2 x 1
-
-
 class AxiomReport(NamedTuple):
     results: tuple[tuple[str, bool], ...]
 
@@ -182,8 +183,12 @@ class AxiomReport(NamedTuple):
 def center_of_group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
     """The center of a group algebra, on the conjugacy-class-sum basis.
 
-    The counit reads off the coefficient of the identity element; the
-    comultiplication is derived from the copairing via (id⊗mul)∘(γ⊗id).
+    The counit reads off the coefficient of the identity element, so the
+    pairing counit∘mul takes class sums C_i, C_j to the number of pairs
+    x ∈ C_i, y ∈ C_j with xy = e: |C_i| if C_j is C_ī, the class of the
+    inverses of C_i, and 0 otherwise.  Its inverse is the copairing
+    γ = Σ_i |C_i|⁻¹ · C_i ⊗ C_ī (since |C_ī| = |C_i|), and the
+    comultiplication is (id⊗mul)∘(γ⊗id), so that γ = comul∘unit.
     """
     classes = g.conjugacy_classes()
     d = len(classes)
@@ -209,9 +214,12 @@ def center_of_group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
                     mul_data[k, col] = Fraction(c)
     mul = RationalMatrix(d, d * d, mul_data)
     unit = RationalMatrix(d, 1, {(class_of[g.identity], 0): Fraction(1)})
-    counit = RationalMatrix(
-        1, d, {(0, class_of[g.identity]): Fraction(1)})
-    comul = _comul_from_pairing(d, mul, counit)
+    counit = RationalMatrix(1, d, {(0, class_of[g.identity]): Fraction(1)})
+    copairing = RationalMatrix(
+        d * d, 1, {(i * d + class_of[g.inverse(cls[0])], 0):
+                   Fraction(1, len(cls)) for i, cls in enumerate(classes)})
+    one = RationalMatrix.identity(d)
+    comul = mat_mul(kron(one, mul), kron(copairing, one))
     return FrobeniusAlgebra(d, mul, unit, comul, counit)
 
 
@@ -233,45 +241,6 @@ def group_algebra(g: FiniteGroup) -> FrobeniusAlgebra:
     n = Fraction(g.order)
     return FrobeniusAlgebra(z.dim, z.mul, z.unit, z.comul.scale(1 / n),
                             z.counit.scale(n))
-
-
-def _invert_dense(b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(b)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("not a Frobenius form: the pairing is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _comul_from_pairing(d: int, mul: RationalMatrix,
-                        counit: RationalMatrix) -> RationalMatrix:
-    gamma = _copairing(d, mat_mul(counit, mul))
-    return mat_mul(kron(RationalMatrix.identity(d), mul),
-                   kron(gamma, RationalMatrix.identity(d)))
-
-
-def _copairing(d: int, beta: RationalMatrix) -> RationalMatrix:
-    b = [[beta.get(0, i * d + j) for j in range(d)] for i in range(d)]
-    binv = _invert_dense(b)
-    return RationalMatrix(d * d, 1, {(i * d + j, 0): binv[i][j]
-                                     for i in range(d) for j in range(d)
-                                     if binv[i][j]})
-
-
-def pairing_copairing(a: FrobeniusAlgebra) -> PairingData:
-    """The pairing counit∘mul and its inverse tensor (the copairing)."""
-    beta = mat_mul(a.counit, a.mul)
-    return PairingData(beta, _copairing(a.dim, beta))
 
 
 def tensor_algebra(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:

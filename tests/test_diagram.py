@@ -41,6 +41,19 @@ def test_parse_type_error_names_arities():
     assert err.value.position == 19
 
 
+def test_arity_error_agrees_in_number():
+    for text, message in [
+            ("mu ; mu", "cannot compose 2->1 with 2->1: 1 outgoing circle "
+                        "meets 2 ingoing (at position 5)"),
+            ("delta ; delta", "cannot compose 1->2 with 1->2: 2 outgoing "
+                              "circles meet 1 ingoing (at position 8)"),
+            ("id[0] ; delta", "cannot compose 0->0 with 1->2: 0 outgoing "
+                              "circles meet 1 ingoing (at position 8)")]:
+        with pytest.raises(TermArityError) as err:
+            parse(text)
+        assert str(err.value) == message, text
+
+
 def test_parse_syntax_errors_have_positions():
     for text, pos in [("mu ; ; mu", 5), ("mu **", 4), ("id[x]", 3),
                       ("(mu ; delta", 11), ("mu @ mu", 3)]:

@@ -7,8 +7,8 @@ import pytest
 from cobtqft.exact import RationalMatrix, kron, mat_mul
 from cobtqft.frobenius import (MAX_INPUT_DIM, FiniteGroup, FrobeniusAlgebra,
                                center_of_group_algebra, faithful_algebra,
-                               group_algebra, pairing_copairing, qz5,
-                               tensor_algebra, verify_frobenius, zqs3)
+                               group_algebra, qz5, tensor_algebra,
+                               verify_frobenius, zqs3)
 from cobtqft.golden import (QZ5_COMUL, QZ5_COUNIT, QZ5_MUL, QZ5_UNIT,
                             ZQS3_COMUL, ZQS3_COPAIRING, ZQS3_COUNIT,
                             ZQS3_MUL, ZQS3_PAIRING, ZQS3_UNIT)
@@ -100,6 +100,16 @@ def test_center_of_abelian_group_is_the_group_algebra():
         assert mat_mul(a.mul, a.comul) == RationalMatrix.identity(g.order)
 
 
+def _alternating(n):
+    """The even permutations of 0..n-1, in lexicographic one-line order."""
+    elements = [p for p in itertools.permutations(range(n))
+                if sum(p[i] > p[j] for i in range(n)
+                       for j in range(i + 1, n)) % 2 == 0]
+    index = {p: i for i, p in enumerate(elements)}
+    return FiniteGroup([[index[tuple(p[q[x]] for x in range(n))]
+                         for q in elements] for p in elements])
+
+
 # SHA-256 prefixes of `to_json()` of mul, unit, comul and counit, in order
 STRUCTURE_MAP_DIGESTS = {
     "qz5": (qz5, ("bc75d7b0fa7b", "6fe907218c68", "af7924077355",
@@ -110,6 +120,10 @@ STRUCTURE_MAP_DIGESTS = {
                              "16f775f28700")),
     "C4": (lambda: group_algebra(FiniteGroup.cyclic(4)),
            ("747600c128a8", "6d4e9821eebd", "3433a43e09b3", "d1b82fe670d1")),
+    "ZS4": (lambda: center_of_group_algebra(FiniteGroup.symmetric(4)),
+            ("d8835866e841", "6fe907218c68", "2c738f268e94", "3cd105ae5946")),
+    "ZA4": (lambda: center_of_group_algebra(_alternating(4)),
+            ("a84f89c247ce", "6d4e9821eebd", "ade5c62c9adf", "e71caeec062b")),
 }
 
 
@@ -122,43 +136,86 @@ def test_structure_map_json_is_pinned(name):
     assert digests == expected
 
 
+def _pairing_copairing(a):
+    """β = counit∘mul (1 x d²) and γ = comul∘unit = Δ(1) (d² x 1)."""
+    return mat_mul(a.counit, a.mul), mat_mul(a.comul, a.unit)
+
+
 def test_pairing_copairing_zqs3():
-    pd = pairing_copairing(zqs3())
-    assert pd.pairing == ZQS3_PAIRING
-    assert pd.copairing == ZQS3_COPAIRING
+    beta, gamma = _pairing_copairing(zqs3())
+    assert beta == ZQS3_PAIRING
+    assert gamma == ZQS3_COPAIRING
 
 
 def test_pairing_copairing_qz5():
-    pd = pairing_copairing(qz5())
+    beta, gamma = _pairing_copairing(qz5())
     for i in range(5):
         for j in range(5):
             inverse_pair = (i + j) % 5 == 0
-            assert pd.pairing.get(0, i * 5 + j) == (5 if inverse_pair else 0)
-            assert pd.copairing.get(i * 5 + j, 0) \
-                == (F(1, 5) if inverse_pair else 0)
+            assert beta.get(0, i * 5 + j) == (5 if inverse_pair else 0)
+            assert gamma.get(i * 5 + j, 0) == (F(1, 5) if inverse_pair else 0)
 
 
 def test_pairing_snake_identities():
     for a in (qz5(), zqs3(), faithful_algebra()):
         d = a.dim
         one = RationalMatrix.identity(d)
-        beta, gamma = pairing_copairing(a)
+        beta, gamma = _pairing_copairing(a)
         assert mat_mul(kron(beta, one), kron(one, gamma)) == one
         assert mat_mul(kron(one, beta), kron(gamma, one)) == one
 
 
-def test_pairing_rejects_singular_form():
+def _invert_dense(b):
+    """Gauss-Jordan inverse of a square list of Fraction rows."""
+    n = len(b)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)]
+           for i, row in enumerate(b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise ValueError("the pairing is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def test_copairing_inverts_the_pairing():
+    # the closed-form copairing against Gauss-Jordan elimination; in A4
+    # the two classes of 3-cycles are each other's inverses
+    a4 = _alternating(4)
+    assert [a4.inverse(cls[0]) in cls for cls in a4.conjugacy_classes()] \
+        == [True, False, False, True]
+    klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+    groups = [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4), a4, klein]
+    groups += [FiniteGroup.cyclic(n) for n in range(1, 9)]
+    for g in groups:
+        a = center_of_group_algebra(g)
+        d = a.dim
+        beta, gamma = _pairing_copairing(a)
+        inverse = _invert_dense([[beta.get(0, i * d + j) for j in range(d)]
+                                 for i in range(d)])
+        assert [[gamma.get(i * d + j, 0) for j in range(d)]
+                for i in range(d)] == inverse
+
+
+def test_singular_counits_fail_the_counit_laws():
     q = qz5()
-    # the zero counit pairs everything to zero
-    broken = FrobeniusAlgebra(5, q.mul, q.unit, q.comul, RationalMatrix(1, 5))
-    with pytest.raises(ValueError, match="not a Frobenius form"):
-        pairing_copairing(broken)
-    # an all-ones counit makes the pairing a singular circulant
-    ones = FrobeniusAlgebra(
-        5, q.mul, q.unit, q.comul,
-        RationalMatrix(1, 5, {(0, j): F(1) for j in range(5)}))
-    with pytest.raises(ValueError, match="not a Frobenius form"):
-        pairing_copairing(ones)
+    # the zero counit pairs everything to zero, and an all-ones counit
+    # makes the pairing a singular circulant
+    for counit in (RationalMatrix(1, 5),
+                   RationalMatrix(1, 5, {(0, j): F(1) for j in range(5)})):
+        beta = mat_mul(counit, q.mul)
+        with pytest.raises(ValueError, match="singular"):
+            _invert_dense([[beta.get(0, i * 5 + j) for j in range(5)]
+                           for i in range(5)])
+        broken = FrobeniusAlgebra(5, q.mul, q.unit, q.comul, counit)
+        assert verify_frobenius(broken).failures == ("left counit",
+                                                     "right counit")
 
 
 def test_tensor_algebra_dimensions_and_sphere_value():
