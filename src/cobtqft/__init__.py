@@ -17,9 +17,8 @@ from .frobenius import (FiniteGroup, FrobeniusAlgebra,
                         center_of_group_algebra, faithful_algebra,
                         group_algebra, qz5, tensor_algebra,
                         verify_frobenius, zqs3)
-from .tqft import (ALGEBRAS, Evaluation, closed_invariant, evaluate,
-                   iterated_comul, iterated_mul, load_algebra,
-                   zqs3_handle_power)
+from .tqft import (ALGEBRAS, Evaluation, closed_invariant,
+                   component_matrix, evaluate, load_algebra)
 from .faithfulness import (ExceptionalTriple, GenusMultiset, ScanBounds,
                            ScanCertificate, enumerate_cobordisms,
                            faithfulness_scan, genus_multiset,

@@ -26,6 +26,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import diagram, faithfulness, golden, surface, tqft
+from .exact import format_rational
 from .surface import Cobordism
 from .tqft import AxiomFailure, load_algebra
 
@@ -99,10 +100,11 @@ def cmd_separate(args) -> int:
     K = Cobordism.from_json_obj(tqft.read_json(args.left))
     L = Cobordism.from_json_obj(tqft.read_json(args.right))
     ms_k, ms_l = faithfulness.separating_closure(K, L)
+    invariant = faithfulness.multiset_invariant
     obj = {"left": {"genera": list(ms_k.genera),
-                    "invariant": str(faithfulness.multiset_invariant(ms_k))},
+                    "invariant": format_rational(invariant(ms_k))},
            "right": {"genera": list(ms_l.genera),
-                     "invariant": str(faithfulness.multiset_invariant(ms_l))}}
+                     "invariant": format_rational(invariant(ms_l))}}
     _emit(json.dumps(obj, separators=(",", ":")), args.output)
     return 0
 

@@ -20,9 +20,12 @@ There is no floating point anywhere in this package.
 JSON form: ``{"rows": R, "cols": C, "entries": [[r, c, "p/q"], ...]}``
 with entries sorted row-major and ``/q`` omitted when the denominator
 is 1.  A value is read only in that form, ``-?[0-9]+(/[0-9]+)?`` with
-``q`` nonzero; a position may appear once.  Errors about JSON input
-name the field and its JSON type (:func:`json_type`), or the index of
-a matrix entry, never the value, whose size is unbounded.
+``q`` nonzero; a position may appear once.  Reading and printing
+(:func:`format_rational`) both refuse a ``p`` or ``q`` of more than
+MAX_VALUE_DIGITS digits, so whatever is printed reads back.  Errors
+about JSON input name the field and its JSON type (:func:`json_type`),
+or the index of a matrix entry, never the value, whose size is
+unbounded.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.nums)} nonzero)"
 
     def to_json_obj(self) -> dict:
-        entries = [[r, c, str(v)]
+        entries = [[r, c, format_rational(v)]
                    for (r, c), v in sorted(self.entries.items())]
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
@@ -196,13 +199,23 @@ class RationalMatrix:
             entries[entry[0], entry[1]] = _parse_rational(entry[2], n)
         return cls(obj["rows"], obj["cols"], entries)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RationalMatrix":
-        return cls.from_json_obj(json.loads(text))
-
 
 # The JSON value form: an integer p, or p/q with q a positive integer.
 _JSON_VALUE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+# The most digits of a numerator or denominator read or printed: int()
+# refuses more when reading, so every printed value can be read back.
+MAX_VALUE_DIGITS = 4300
+_VALUE_BOUND = 10 ** MAX_VALUE_DIGITS
+
+
+def format_rational(value: int | Fraction) -> str:
+    """`value` as "p" or "p/q"; ValueError when p or q has more than
+    MAX_VALUE_DIGITS digits."""
+    if max(abs(value.numerator), value.denominator) >= _VALUE_BOUND:
+        raise ValueError(f"a value exceeds the limit of {MAX_VALUE_DIGITS} "
+                         f"digits per numerator or denominator")
+    return str(value)
 
 
 def _parse_rational(text: str, n: int) -> Fraction:
@@ -216,7 +229,7 @@ def _parse_rational(text: str, n: int) -> Fraction:
             pass
     raise ValueError(f'matrix entry {n}: the value is not a rational '
                      f'"p/q" of integers with q nonzero, each of at most '
-                     f'4300 digits')
+                     f'{MAX_VALUE_DIGITS} digits')
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

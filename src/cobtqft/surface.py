@@ -23,7 +23,8 @@ component with characteristic chi and b remaining boundary circles has
 genus (2 - chi - b)/2.  This needs no special case for loops created
 by gluing two components along several circles at once.  One kernel,
 `_glue`, turns pieces, free circles and seams into the normal form;
-`compose` and `diagram.elaborate` both reach it.
+`compose`, `tensor` (with no seams) and `diagram.elaborate` all reach
+it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ MAX_INPUT_GENUS = 64
 # The most boundary circles per side a cobordism JSON file may have: the
 # separation route keeps one flag per pair of circles.
 MAX_INPUT_CIRCLES = 64
+
+# The most closed pieces a cobordism JSON file may have: the separation
+# route multiplies one closed-surface invariant per piece.
+MAX_INPUT_CLOSED = 64
 
 
 def check_input_genus(genus: int) -> int:
@@ -134,9 +139,6 @@ class Cobordism:
         return max([c.genus for c in self.components]
                    + list(self.closed_genera) + [0])
 
-    def euler_characteristic(self) -> int:
-        return sum(_characteristics(self))
-
     def to_json_obj(self) -> dict:
         return {"in": self.n_in, "out": self.n_out,
                 "components": [{"in": list(c.ingoing), "out": list(c.outgoing),
@@ -146,8 +148,9 @@ class Cobordism:
     @classmethod
     def from_json_obj(cls, obj) -> "Cobordism":
         """Parse the JSON form; a malformed field, a genus above
-        MAX_INPUT_GENUS or more than MAX_INPUT_CIRCLES circles on a side
-        raises ValueError naming it."""
+        MAX_INPUT_GENUS, more than MAX_INPUT_CIRCLES circles on a side or
+        more than MAX_INPUT_CLOSED closed pieces raises ValueError
+        naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"a cobordism must be a JSON object, "
                              f"got {json_type(obj)}")
@@ -160,12 +163,16 @@ class Cobordism:
         if max(n_in, n_out) > MAX_INPUT_CIRCLES:
             raise ValueError("a cobordism exceeds the input limit of "
                              f"{MAX_INPUT_CIRCLES} circles per side")
+        closed = _json_ints(obj.get("closed"), "closed")
+        if len(closed) > MAX_INPUT_CLOSED:
+            raise ValueError("a cobordism exceeds the input limit of "
+                             f"{MAX_INPUT_CLOSED} closed pieces")
         K = cls(n_in, n_out,
                 [component(_json_ints(c.get("in"), f"components[{n}].in"),
                            _json_ints(c.get("out"), f"components[{n}].out"),
                            _json_int(c.get("genus"), f"components[{n}].genus"))
                  for n, c in enumerate(comps)],
-                _json_ints(obj.get("closed"), "closed"))
+                closed)
         check_input_genus(K.max_genus())
         return K
 
@@ -280,25 +287,26 @@ def _glue(chis: Sequence[int], ins: Sequence[int], outs: Sequence[int],
     return Cobordism(len(ins), len(outs), components, closed)
 
 
-def compose(first: Cobordism, second: Cobordism) -> Cobordism:
-    """Glue outgoing circles of `first` to ingoing circles of `second`."""
-    check_gluable((first.n_in, first.n_out), (second.n_in, second.n_out))
-    # first's pieces are 0..p-1 and second's follow
+def _side_by_side(first: Cobordism, second: Cobordism):
+    """The pieces of both operands in one list, first's then second's:
+    their Euler characteristics, and the piece of every boundary label
+    of `first` and of `second` (see :func:`owners`)."""
     chis = _characteristics(first)
     p = len(chis)
     chis += _characteristics(second)
-    a = owners(first)
-    b = [p + idx for idx in owners(second)]
+    return chis, owners(first), tuple(p + idx for idx in owners(second))
+
+
+def compose(first: Cobordism, second: Cobordism) -> Cobordism:
+    """Glue outgoing circles of `first` to ingoing circles of `second`."""
+    check_gluable((first.n_in, first.n_out), (second.n_in, second.n_out))
+    chis, a, b = _side_by_side(first, second)
     return _glue(chis, a[:first.n_in], b[second.n_in:],
                  zip(a[first.n_in:], b[:second.n_in]))
 
 
 def tensor(first: Cobordism, second: Cobordism) -> Cobordism:
     """Disjoint union, with `second`'s circles placed after `first`'s."""
-    comps = list(first.components)
-    for c in second.components:
-        comps.append(Component(tuple(i + first.n_in for i in c.ingoing),
-                               tuple(j + first.n_out for j in c.outgoing),
-                               c.genus))
-    return Cobordism(first.n_in + second.n_in, first.n_out + second.n_out,
-                     comps, first.closed_genera + second.closed_genera)
+    chis, a, b = _side_by_side(first, second)
+    return _glue(chis, a[:first.n_in] + b[:second.n_in],
+                 a[first.n_in:] + b[second.n_in:], ())

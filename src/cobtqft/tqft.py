@@ -20,9 +20,7 @@ The table ``ALGEBRAS`` names the three algebras the command line knows
 of the closed genus-k surface, ``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for
 the faithful 15-dimensional algebra ``A``; ``load_algebra`` resolves a
 table name or ``file:<path>`` to an algebra, and ``ensure_verified``
-(which ``evaluate`` calls) checks its axioms once.  The closed-form
-handle power of the center of the symmetric-group algebra lives here
-too.
+(which ``evaluate`` calls) checks its axioms once.
 
 Evaluation is pure, so the building blocks are memoized per algebra
 with ``functools.lru_cache``; algebras hash by identity.
@@ -74,40 +72,28 @@ def ensure_verified(a: FrobeniusAlgebra) -> AxiomReport:
 
 
 @lru_cache(maxsize=None)
-def iterated_mul(a: FrobeniusAlgebra, n: int) -> RationalMatrix:
-    """The n-fold multiplication dim^n -> dim (unit for n=0)."""
-    if n == 0:
-        return a.unit
-    if n == 1:
-        return RationalMatrix.identity(a.dim)
-    return mat_mul(a.mul, kron(iterated_mul(a, n - 1),
-                               RationalMatrix.identity(a.dim)))
-
-
-@lru_cache(maxsize=None)
-def iterated_comul(a: FrobeniusAlgebra, m: int) -> RationalMatrix:
-    """The m-fold comultiplication dim -> dim^m (counit for m=0)."""
-    if m == 0:
-        return a.counit
-    if m == 1:
-        return RationalMatrix.identity(a.dim)
-    return mat_mul(kron(iterated_comul(a, m - 1),
-                        RationalMatrix.identity(a.dim)), a.comul)
-
-
-@lru_cache(maxsize=None)
-def handle_power(a: FrobeniusAlgebra, k: int) -> RationalMatrix:
-    """The k-th power of the handle operator mul∘comul."""
-    if k == 0:
-        return RationalMatrix.identity(a.dim)
-    return mat_mul(handle_power(a, k - 1), mat_mul(a.mul, a.comul))
-
-
-@lru_cache(maxsize=None)
 def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMatrix:
-    """Matrix of the connected block with n ingoing, m outgoing, genus k."""
-    inner = mat_mul(handle_power(a, k), iterated_mul(a, n))
-    return mat_mul(iterated_comul(a, m), inner)
+    """Matrix of the connected block E[m,k,n] = comul^m ∘ handle^k ∘ mul^n
+    with n ingoing, m outgoing circles and genus k.
+
+    mul^n = E[1,0,n] (the unit at n = 0), comul^m = E[m,0,1] (the
+    counit at m = 0) and handle^k = E[1,k,1] are each built from the
+    next smaller one; any other block is E[m,0,1] ∘ (E[1,k,1] ∘ E[1,0,n]).
+    """
+    one = RationalMatrix.identity(a.dim)
+    if (m, k) == (1, 0):
+        if n < 2:
+            return a.unit if n == 0 else one
+        return mat_mul(a.mul, kron(component_matrix(a, 1, 0, n - 1), one))
+    if (k, n) == (0, 1):
+        if m == 0:
+            return a.counit
+        return mat_mul(kron(component_matrix(a, m - 1, 0, 1), one), a.comul)
+    if (m, n) == (1, 1):
+        return mat_mul(component_matrix(a, 1, k - 1, 1),
+                       mat_mul(a.mul, a.comul))
+    inner = mat_mul(component_matrix(a, 1, k, 1), component_matrix(a, 1, 0, n))
+    return mat_mul(component_matrix(a, m, 0, 1), inner)
 
 
 @lru_cache(maxsize=None)
@@ -154,26 +140,6 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     matrix = RationalMatrix._integer(a.dim ** K.n_out, a.dim ** K.n_in,
                                      nums, den)
     return Evaluation(a, K.n_in, K.n_out, matrix)
-
-
-def zqs3_handle_power(k: int) -> RationalMatrix:
-    """Closed form for the k-th handle power in the center of the
-    symmetric-group algebra of degree 3 (k >= 1)::
-
-        (3/2)^(k-1) * [ 2^(2k-1)+1    0           2^(2k)-1
-                        0             3*2^(2k-1)  0
-                        2^(2k-1)-1/2  0           2^(2k)+1/2 ]
-    """
-    if k < 1:
-        raise ValueError("the closed form is anchored at k >= 1; genus 0 "
-                         "is the identity cylinder")
-    s = Fraction(3, 2) ** (k - 1)
-    h = 2 ** (2 * k - 1)
-    return RationalMatrix.from_rows([
-        [s * (h + 1), 0, s * (2 * h - 1)],
-        [0, s * 3 * h, 0],
-        [s * (h - Fraction(1, 2)), 0, s * (2 * h + Fraction(1, 2))],
-    ])
 
 
 def _zqs3_closed(k: int) -> Fraction:

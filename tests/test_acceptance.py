@@ -23,10 +23,10 @@ from cobtqft.golden import (QZ5_COMUL, QZ5_COUNIT, QZ5_MUL, QZ5_UNIT,
                             ZQS3_COMUL, ZQS3_COPAIRING, ZQS3_COUNIT,
                             ZQS3_MUL, ZQS3_PAIRING, ZQS3_UNIT, golden_report)
 from cobtqft.surface import Cobordism, compose, e_block, identity, tensor
-from cobtqft.tqft import (closed_invariant, evaluate, load_algebra,
-                         zqs3_handle_power)
+from cobtqft.tqft import closed_invariant, evaluate, load_algebra
 from test_faithfulness import (closure, stretch1, stretch1_dual, stretch2,
                                stretch2_dual)
+from test_tqft import zqs3_handle_power
 
 SCAN_BOUNDS = ScanBounds(max_circles=2, max_genus=2, max_closed=1,
                          max_closed_genus=3)

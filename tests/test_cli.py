@@ -4,15 +4,17 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from cobtqft.cli import build_parser, main
 from cobtqft.faithfulness import ScanBounds
-from cobtqft.frobenius import (MAX_INPUT_DIM, FiniteGroup, group_algebra,
-                               zqs3)
-from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, e_block,
+from cobtqft.frobenius import (MAX_INPUT_DIM, FiniteGroup,
+                               FrobeniusAlgebra, group_algebra, qz5, zqs3)
+from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_CLOSED,
+                             MAX_INPUT_GENUS, Cobordism, component, e_block,
                              identity, tensor)
 
 
@@ -434,6 +436,62 @@ def test_separate_circle_limit(capsys, tmp_path):
         else:
             assert out == "" and len(err.splitlines()) == 1
             assert "64 circles per side" in err
+
+
+def test_eval_refuses_a_value_beyond_the_digit_limit(capsys, tmp_path):
+    # qz5 with the counit scaled by 10^-4000 and the comultiplication by
+    # 10^4000 is still Frobenius; each handle multiplies by 10^4000
+    algebra = qz5()
+    algebra = FrobeniusAlgebra(algebra.dim, algebra.mul, algebra.unit,
+                               algebra.comul.scale(10 ** 4000),
+                               algebra.counit.scale(F(1, 10 ** 4000)))
+    path = tmp_path / "scaled.json"
+    path.write_text(algebra.to_json())
+    code, out, _ = run(capsys, "eval", "--algebra", f"file:{path}",
+                       "--term", "delta ; mu")
+    assert code == 0 and len(out) == 20116
+    code, out, err = run(capsys, "eval", "--algebra", f"file:{path}",
+                         "--term", "delta ; mu ; delta ; mu")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "limit of 4300 digits" in err
+
+
+def test_separate_refuses_an_invariant_beyond_the_digit_limit(capsys,
+                                                               tmp_path):
+    # every circle on its own genus-64 piece; one side has an extra sphere
+    K = Cobordism(MAX_INPUT_CIRCLES, MAX_INPUT_CIRCLES,
+                  [component(ins, outs, MAX_INPUT_GENUS)
+                   for i in range(MAX_INPUT_CIRCLES)
+                   for ins, outs in (((i,), ()), ((), (i,)))])
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(K.to_json_obj()))
+    right.write_text(json.dumps(
+        tensor(K, e_block(0, 0, 0)).to_json_obj()))
+    code, out, err = run(capsys, "separate", "--left", str(left),
+                         "--right", str(right))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "limit of 4300 digits" in err
+
+
+def test_separate_closed_piece_limit(capsys, tmp_path):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    right.write_text(json.dumps(identity(0).to_json_obj()))
+    # 64 closed pieces of genus 64 already pass the digit limit
+    for n, genus, code_wanted in ((MAX_INPUT_CLOSED, 1, 0),
+                                  (MAX_INPUT_CLOSED + 1, 1, 2),
+                                  (20_000, MAX_INPUT_GENUS, 2)):
+        left.write_text(json.dumps(
+            Cobordism(0, 0, (), [genus] * n).to_json_obj()))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "separate", "--left", str(left),
+                             "--right", str(right))
+        assert code == code_wanted
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1
+            assert "64 closed pieces" in err
+            assert time.perf_counter() - start < 1
 
 
 def test_file_algebra_dim_limit(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,40 @@ from cobtqft import surface
 from cobtqft.surface import (Cobordism, compose, component, e_block,
                              identity, permutation, tensor)
 from cobtqft.tqft import load_algebra
+
+
+def _factor_then_filter_witness(a: int, b: int, n: int) -> int:
+    """The least prime factor of a^n + b^n, by a 6k +- 1 wheel, that
+    divides no a^k + b^k with k < n."""
+    m, primes = a ** n + b ** n, []
+    for p in (2, 3):
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    f = 5
+    while f * f <= m:
+        for p in (f, f + 2):
+            if m % p == 0:
+                primes.append(p)
+                while m % p == 0:
+                    m //= p
+        f += 6
+    if m > 1:
+        primes.append(m)
+    smaller = [a ** k + b ** k for k in range(1, n)]
+    return next(p for p in primes if all(s % p for s in smaller))
+
+
+def test_zsigmondy_matches_factor_then_filter():
+    triples = [(a, b, n) for a in range(2, 40) for b in range(1, a)
+               if math.gcd(a, b) == 1 for n in range(1, 32)
+               if a ** n + b ** n < 2 ** 32]
+    assert len(triples) == 3204
+    triples.remove((2, 1, 3))  # the exceptional triple
+    for a, b, n in triples + [(2, 1, 43)]:
+        assert zsigmondy_witness(a, b, n) \
+            == _factor_then_filter_witness(a, b, n), (a, b, n)
 
 
 def test_zsigmondy_exceptional_triple():

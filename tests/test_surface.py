@@ -5,8 +5,8 @@ import pytest
 from cobtqft import surface
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, Cobordism,
-                             component, compose, e_block, identity, owners,
-                             permutation, tensor)
+                             Component, component, compose, e_block,
+                             identity, owners, permutation, tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
@@ -82,6 +82,25 @@ def test_glue_refuses_a_piece_of_impossible_characteristic():
     assert surface._glue([0, 0], [0], [1], [(0, 1)]) == identity(1)
 
 
+def _reference_tensor(first: Cobordism, second: Cobordism) -> Cobordism:
+    """Disjoint union built directly: `second`'s labels shifted past
+    `first`'s, the closed pieces of both kept."""
+    comps = list(first.components)
+    for c in second.components:
+        comps.append(Component(tuple(i + first.n_in for i in c.ingoing),
+                               tuple(j + first.n_out for j in c.outgoing),
+                               c.genus))
+    return Cobordism(first.n_in + second.n_in, first.n_out + second.n_out,
+                     comps, first.closed_genera + second.closed_genera)
+
+
+def test_tensor_matches_the_direct_construction():
+    pool = enumerate_cobordisms(ScanBounds(1, 1, 1, 1))
+    for K, L in itertools.product(pool, repeat=2):
+        assert tensor(K, L) == _reference_tensor(K, L)
+    assert len(pool) ** 2 == 1089
+
+
 def test_tensor():
     K = Cobordism(2, 1, [component((0, 1), (0,), 1)])
     assert tensor(K, identity(0)) == K
@@ -127,14 +146,18 @@ def test_compose_associative_and_unital_exhaustive():
 
 
 def test_euler_characteristic_additive_under_compose():
+    def chi(K):
+        return (sum(2 - 2 * c.genus - len(c.ingoing) - len(c.outgoing)
+                    for c in K.components)
+                + sum(2 - 2 * g for g in K.closed_genera))
+
     pool = [K for K in small_enumeration() if K.n_in + K.n_out <= 3]
     by_in: dict[int, list[Cobordism]] = {}
     for K in pool:
         by_in.setdefault(K.n_in, []).append(K)
     for K in pool:
         for L in by_in.get(K.n_out, []):
-            assert compose(K, L).euler_characteristic() \
-                == K.euler_characteristic() + L.euler_characteristic()
+            assert chi(compose(K, L)) == chi(K) + chi(L)
 
 
 def test_owners():

@@ -10,25 +10,43 @@ from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block, identity,
                              permutation, tensor)
 from cobtqft.tqft import (ALGEBRAS, AxiomFailure, closed_invariant,
-                          component_matrix, evaluate, handle_power,
-                          iterated_comul, iterated_mul, load_algebra,
-                          zqs3_handle_power)
+                          component_matrix, evaluate, load_algebra)
 
 E111_ZQS3 = RationalMatrix.from_rows([[3, 0, 3], [0, 6, 0],
                                       [F(3, 2), 0, F(9, 2)]])
 
 
+def zqs3_handle_power(k: int) -> RationalMatrix:
+    """Closed form for the k-th handle power in the center of the
+    symmetric-group algebra of degree 3 (k >= 1)::
+
+        (3/2)^(k-1) * [ 2^(2k-1)+1    0           2^(2k)-1
+                        0             3*2^(2k-1)  0
+                        2^(2k-1)-1/2  0           2^(2k)+1/2 ]
+    """
+    if k < 1:
+        raise ValueError("the closed form is anchored at k >= 1; genus 0 "
+                         "is the identity cylinder")
+    s = F(3, 2) ** (k - 1)
+    h = 2 ** (2 * k - 1)
+    return RationalMatrix.from_rows([
+        [s * (h + 1), 0, s * (2 * h - 1)],
+        [0, s * 3 * h, 0],
+        [s * (h - F(1, 2)), 0, s * (2 * h + F(1, 2))],
+    ])
+
+
 def test_iterated_mul():
     q = qz5()
-    assert iterated_mul(q, 0) == q.unit
-    assert iterated_mul(q, 1) == RationalMatrix.identity(5)
-    assert iterated_mul(q, 2) == q.mul
+    assert component_matrix(q, 1, 0, 0) == q.unit
+    assert component_matrix(q, 1, 0, 1) == RationalMatrix.identity(5)
+    assert component_matrix(q, 1, 0, 2) == q.mul
     # left fold equals right fold, forced by associativity
     right_fold = mat_mul(q.mul, kron(RationalMatrix.identity(5), q.mul))
-    assert iterated_mul(q, 3) == right_fold
+    assert component_matrix(q, 1, 0, 3) == right_fold
     z = zqs3()
-    assert iterated_comul(z, 0) == z.counit
-    assert iterated_comul(z, 2) == z.comul
+    assert component_matrix(z, 0, 0, 1) == z.counit
+    assert component_matrix(z, 2, 0, 1) == z.comul
 
 
 def test_evaluate_genus_one_tube_zqs3():
