@@ -311,6 +311,13 @@ def _handle_word(k: int) -> Optional[Term]:
     return t
 
 
+def _block_word(m: int, k: int, n: int) -> Term:
+    # the word of E[m,k,n], as tqft.component_matrix builds its matrix:
+    # mul^n (eta at n = 0), k handles, then comul^m (eps at m = 0)
+    word = _seq(_mu_tree(n), _seq(_handle_word(k), _delta_tree(m)))
+    return Gen(name="id", params=(1,)) if word is None else word
+
+
 def _swap_at(j: int, n: int) -> Term:
     t: Term = Gen(name="swap")
     if j > 0:
@@ -339,10 +346,11 @@ def _perm_word(p: list[int]) -> Optional[Term]:
 def format_cobordism(K: Cobordism) -> str:
     """A canonical generator word with elaborate(parse(word)) == K.
 
-    Each component is rendered as a multiplication tree, genus-many
-    handle loops ``delta ; mu``, then a comultiplication tree; the
-    boundary circles are routed to their positions by words of adjacent
-    transpositions, and closed pieces become ``eta ; ... ; eps``.
+    Each piece is rendered as the word of its block E[m,k,n]: a
+    multiplication tree, genus-many handle loops ``delta ; mu``, then a
+    comultiplication tree, so a closed piece becomes ``eta ; ... ; eps``;
+    the boundary circles are routed to their positions by words of
+    adjacent transpositions.
 
     The round trip holds iff the word keeps to the limits of `parse`:
     MAX_TOKENS tokens (eight a handle: genus 30 passes, genus 64 fails)
@@ -355,16 +363,13 @@ def format_cobordism(K: Cobordism) -> str:
     word = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
     blocks: Optional[Term] = None
     for c in K.components:
-        piece = _seq(_mu_tree(len(c.ingoing)),
-                     _seq(_handle_word(c.genus), _delta_tree(len(c.outgoing))))
-        if piece is None:
-            piece = Gen(name="id", params=(1,))
+        piece = _block_word(len(c.outgoing), c.genus, len(c.ingoing))
         blocks = piece if blocks is None else Tens(left=blocks, right=piece)
     word = _seq(word, blocks)
     word = _seq(word, _perm_word([j for c in K.components
                                   for j in c.outgoing]))
     for g in K.closed_genera:
-        piece = _seq(Gen(name="eta"), _seq(_handle_word(g), Gen(name="eps")))
+        piece = _block_word(0, g, 0)
         word = piece if word is None else Tens(left=word, right=piece)
     if word is None:
         word = Gen(name="id", params=(0,))

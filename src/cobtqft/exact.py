@@ -20,12 +20,13 @@ There is no floating point anywhere in this package.
 JSON form: ``{"rows": R, "cols": C, "entries": [[r, c, "p/q"], ...]}``
 with entries sorted row-major and ``/q`` omitted when the denominator
 is 1.  A value is read only in that form, ``-?[0-9]+(/[0-9]+)?`` with
-``q`` nonzero; a position may appear once.  Reading and printing
-(:func:`format_rational`) both refuse a ``p`` or ``q`` of more than
-MAX_VALUE_DIGITS digits, so whatever is printed reads back.  Errors
-about JSON input name the field and its JSON type (:func:`json_type`),
-or the index of a matrix entry, never the value, whose size is
-unbounded.
+``q`` nonzero; a position may appear once.  Reading (:func:`read_int`)
+and printing (:func:`format_rational`) both refuse a ``p`` or ``q`` of
+more than MAX_VALUE_DIGITS digits, so whatever is printed reads back;
+the digits are counted before ``int()`` sees them, so the interpreter's
+own int-string limit plays no part.  Errors about JSON input name the
+field and its JSON type (:func:`json_type`), or the index of a matrix
+entry, never the value, whose size is unbounded.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ class RationalMatrix:
 # The JSON value form: an integer p, or p/q with q a positive integer.
 _JSON_VALUE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
-# The most digits of a numerator or denominator read or printed: int()
-# refuses more when reading, so every printed value can be read back.
+# The most digits of a JSON integer, or of a numerator or denominator,
+# read or printed, so every printed value can be read back.
 MAX_VALUE_DIGITS = 4300
 _VALUE_BOUND = 10 ** MAX_VALUE_DIGITS
 
@@ -218,13 +219,21 @@ def format_rational(value: int | Fraction) -> str:
     return str(value)
 
 
+def read_int(literal: str) -> int:
+    """The integer literal ``-?[0-9]+``; ValueError when it has more than
+    MAX_VALUE_DIGITS digits, counted before int() reads it."""
+    if len(literal.lstrip("-")) > MAX_VALUE_DIGITS:
+        raise ValueError(f"an integer exceeds the limit of "
+                         f"{MAX_VALUE_DIGITS} digits")
+    return int(literal)
+
+
 def _parse_rational(text: str, n: int) -> Fraction:
     """The value of matrix entry `n` in the JSON value form."""
     if _JSON_VALUE.fullmatch(text):
         p, _, q = text.partition("/")
         try:
-            # int() refuses over 4 300 digits, which bounds the work
-            return Fraction(int(p), int(q or 1))
+            return Fraction(read_int(p), read_int(q or "1"))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'matrix entry {n}: the value is not a rational '

@@ -152,29 +152,10 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 # --- the separating context pipeline ---------------------------------------
 
 @lru_cache(maxsize=None)
-def _labels(n_in: int, n_out: int) -> tuple[tuple[int, int], ...]:
-    """The pairs of boundary labels (see :mod:`cobtqft.surface`) in
-    `itertools.combinations` order."""
-    return tuple(itertools.combinations(range(n_in + n_out), 2))
-
-
-class _LabelData(NamedTuple):
-    """What the separation needs to know about one cobordism."""
-
-    genera: tuple[int, ...]  # genus of each label's component
-    same: tuple[bool, ...]   # per label pair: do both share a component?
-    max_genus: int
-
-
-@lru_cache(maxsize=None)
-def _label_data(K: Cobordism) -> _LabelData:
-    """Per-label data of K.  The `same` flags encode the boundary
-    partition: two cobordisms have equal flags iff their partitions agree."""
-    owner = surface.owners(K)
-    return _LabelData(tuple(K.components[idx].genus for idx in owner),
-                      tuple(owner[x] == owner[y]
-                            for x, y in _labels(K.n_in, K.n_out)),
-                      K.max_genus())
+def _label_data(K: Cobordism) -> tuple[tuple[int, ...], int]:
+    """The genus of the component of each boundary label of K (see
+    :mod:`cobtqft.surface`), and the largest genus of K."""
+    return tuple(K.components[idx].genus for idx in K.owners), K.max_genus()
 
 
 @lru_cache(maxsize=None)
@@ -182,16 +163,9 @@ def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
     """Cap each label x of K with a disk of genus ``caps[x]`` and return
     the closed genera: each piece adds its caps' genera to its own."""
     genera = [c.genus for c in K.components]
-    for x, idx in enumerate(surface.owners(K)):
+    for x, idx in enumerate(K.owners):
         genera[idx] += caps[x]
     return genus_multiset(genera + list(K.closed_genera))
-
-
-def _first_difference(xs: tuple, ys: tuple) -> int:
-    """The first index at which two unequal tuples of one length differ."""
-    for i, x in enumerate(xs):
-        if x != ys[i]:
-            return i
 
 
 def separating_closure(K: Cobordism, L: Cobordism
@@ -211,8 +185,9 @@ def separating_closure(K: Cobordism, L: Cobordism
     (b) Some label's genus differs: the first such label gets a cap of
         genus 2a, the rest genus 0.  The one closed piece of genus at
         least 2a has the label's genus plus 2a, which differs.
-    (c) The partitions differ: the first label pair on one component
-        in exactly one of the two gets caps of genus a on both circles.
+    (c) The partitions (their ``owners`` codes) differ: the first label
+        pair on one component in exactly one of the two gets caps of
+        genus a on both circles.
         That cobordism gets one piece of genus at least 2a, the other
         two of genus between a and 2a - 1.
 
@@ -228,14 +203,17 @@ def separating_closure(K: Cobordism, L: Cobordism
                          f"{L.n_in}->{L.n_out}")
     if K == L:
         raise ValueError("the cobordisms are equal; nothing separates them")
-    dk, dl = _label_data(K), _label_data(L)
-    a = 1 + max(dk.max_genus, dl.max_genus)
-    caps = [0] * len(dk.genera)
-    if dk.same != dl.same:
-        x, y = _labels(K.n_in, K.n_out)[_first_difference(dk.same, dl.same)]
-        caps[x] = caps[y] = a
-    elif dk.genera != dl.genera:
-        caps[_first_difference(dk.genera, dl.genera)] = 2 * a
+    (gk, max_k), (gl, max_l) = _label_data(K), _label_data(L)
+    a = 1 + max(max_k, max_l)
+    caps = [0] * len(gk)
+    ok, ol = K.owners, L.owners
+    if ok != ol:
+        for x, y in itertools.combinations(range(len(ok)), 2):
+            if (ok[x] == ok[y]) != (ol[x] == ol[y]):
+                caps[x] = caps[y] = a
+                break
+    elif gk != gl:
+        caps[next(x for x, g in enumerate(gk) if g != gl[x])] = 2 * a
     caps = tuple(caps)
     ms_k = _closing_context(K, caps)
     ms_l = _closing_context(L, caps)
@@ -281,26 +259,29 @@ class ScanBounds:
         under a 1-dimensional algebra every matrix has one entry."""
         return self.matrix_entries(1)
 
-    def matrix_entries(self, dim: int) -> int:
-        """The entries of all the scan's matrices under a dim-dimensional
-        algebra, summed without enumerating anything.
+    def class_count(self, n_in: int, n_out: int) -> int:
+        """How many n_in -> n_out cobordisms the bounds admit.
 
-        An n_in -> n_out cobordism has a matrix of dim^(n_in + n_out)
-        entries.  n boundary circles split into k components in S(n, k)
-        ways (the Stirling numbers of the second kind), each with
-        max_genus + 1 genera; the sums t[n] = Σ_k S(n, k)·x^k obey the
+        n = n_in + n_out boundary circles split into k components in
+        S(n, k) ways (the Stirling numbers of the second kind), each with
+        x = max_genus + 1 genera; the sums t[n] = Σ_k S(n, k)·x^k obey the
         Touchard recurrence t[n+1] = x·Σ_i C(n, i)·t[i].  The closed
         multisets number C(max_closed_genus + 1 + max_closed, max_closed).
         """
         x = self.max_genus + 1
         t = [1]
-        for n in range(2 * self.max_circles):
+        for n in range(n_in + n_out):
             t.append(x * sum(math.comb(n, i) * ti for i, ti in enumerate(t)))
-        boundary = sum(t[n_in + n_out] * dim ** (n_in + n_out)
-                       for n_in in range(self.max_circles + 1)
-                       for n_out in range(self.max_circles + 1))
-        return boundary * math.comb(
+        return t[-1] * math.comb(
             self.max_closed_genus + 1 + self.max_closed, self.max_closed)
+
+    def matrix_entries(self, dim: int) -> int:
+        """The entries of all the scan's matrices under a dim-dimensional
+        algebra, summed without enumerating anything: an n_in -> n_out
+        cobordism has a matrix of dim^(n_in + n_out) entries."""
+        return sum(self.class_count(n_in, n_out) * dim ** (n_in + n_out)
+                   for n_in in range(self.max_circles + 1)
+                   for n_out in range(self.max_circles + 1))
 
     def to_json_obj(self) -> dict:
         return {"max_circles": self.max_circles, "max_genus": self.max_genus,
@@ -385,7 +366,9 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
     shape and are counted without further work.  Bounds whose largest
     matrices would exceed ``tqft.MAX_EVAL_ENTRIES``, or whose matrices
     together would exceed MAX_SCAN_ENTRIES, raise ValueError before the
-    axioms are checked or anything is enumerated.
+    axioms are checked or anything is enumerated.  The enumeration is
+    proved complete: RuntimeError unless every arity class holds exactly
+    :meth:`ScanBounds.class_count` cobordisms, pairwise unequal.
     """
     a = load_algebra(algebra)
     check_matrix_size(a, bounds.max_circles, bounds.max_circles)
@@ -399,10 +382,19 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
                       for name in ("mul", "unit", "comul", "counit"))
     every = enumerate_cobordisms(bounds)
     total = len(every)
+    if total != bounds.cobordism_count():
+        raise RuntimeError(f"enumerated {total} cobordisms; the bounds "
+                           f"admit {bounds.cobordism_count()}")
     pairs = 0
     before = 0  # cobordisms in earlier arity classes
-    for _, group in itertools.groupby(every, key=lambda K: (K.n_in, K.n_out)):
+    for arity, group in itertools.groupby(every,
+                                          key=lambda K: (K.n_in, K.n_out)):
         cobs = tuple(group)
+        expected = bounds.class_count(*arity)
+        if not len(cobs) == len(set(cobs)) == expected:
+            raise RuntimeError(f"the {arity[0]}->{arity[1]} class holds "
+                               f"{len(cobs)} cobordisms, {len(set(cobs))} "
+                               f"distinct; the bounds admit {expected}")
         seen: dict = {}
         for idx, K in enumerate(cobs):
             matrix_key = evaluate(a, K).matrix.key()

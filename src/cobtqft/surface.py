@@ -15,7 +15,9 @@ ingoing circles of ``L`` ("K first, then L", diagrammatic order).
 
 A boundary label is an integer naming one circle of an ``n_in -> n_out``
 cobordism: label i is ingoing circle i, and label ``n_in + j`` outgoing
-circle j.  :func:`owners` maps every label to its component's index.
+circle j.  Components are kept in the order of their least label, so
+``Cobordism.owners``, built with the normal form, is a canonical code
+for the boundary partition: the index of every label's component.
 
 Gluing bookkeeping goes through the Euler characteristic: gluing along
 circles is additive (a circle has characteristic 0), so a merged
@@ -39,7 +41,7 @@ from .exact import json_type
 MAX_INPUT_GENUS = 64
 
 # The most boundary circles per side a cobordism JSON file may have: the
-# separation route keeps one flag per pair of circles.
+# separation route may look at every pair of circles.
 MAX_INPUT_CIRCLES = 64
 
 # The most closed pieces a cobordism JSON file may have: the separation
@@ -76,28 +78,34 @@ def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Co
 class Cobordism:
     """Canonical normal form of a 2-cobordism ``n_in -> n_out``.
 
-    Components are kept in the order of their least boundary label, and
-    the closed genera sorted descending, so ``==`` decides cobordism
-    equivalence.
+    Components, and the circles of each, may be given in any order.
+    The circles are sorted, the components kept in the order of their
+    least boundary label, and the closed genera sorted descending, so
+    ``==`` decides cobordism equivalence.  ``owners[x]`` is the index in
+    ``components`` of the component of label x.
     """
 
-    __slots__ = ("n_in", "n_out", "components", "closed_genera", "_hash")
+    __slots__ = ("n_in", "n_out", "components", "closed_genera", "owners",
+                 "_hash")
 
     def __init__(self, n_in: int, n_out: int,
                  components: Iterable[Component] = (),
                  closed_genera: Iterable[int] = ()):
         if n_in < 0 or n_out < 0:
             raise ValueError("negative arity")
-        comps = tuple(sorted(components, key=lambda c: c.ingoing[0]
-                             if c.ingoing else n_in + c.outgoing[0]))
-        closed = tuple(sorted(closed_genera, reverse=True))
+        pieces = []
         seen_in: list[int] = []
         seen_out: list[int] = []
-        for c in comps:
+        for c in components:
             if c.genus < 0 or (not c.ingoing and not c.outgoing):
                 raise ValueError(f"invalid component {c!r}")
+            pieces.append(Component(tuple(sorted(c.ingoing)),
+                                    tuple(sorted(c.outgoing)), c.genus))
             seen_in.extend(c.ingoing)
             seen_out.extend(c.outgoing)
+        comps = tuple(sorted(pieces, key=lambda c: c.ingoing[0]
+                             if c.ingoing else n_in + c.outgoing[0]))
+        closed = tuple(sorted(closed_genera, reverse=True))
         if sorted(seen_in) != list(range(n_in)):
             raise ValueError(
                 f"the ingoing circles do not partition 0..{n_in - 1}")
@@ -106,10 +114,17 @@ class Cobordism:
                 f"the outgoing circles do not partition 0..{n_out - 1}")
         if any(g < 0 for g in closed):
             raise ValueError("negative closed genus")
+        owners = [0] * (n_in + n_out)
+        for idx, c in enumerate(comps):
+            for i in c.ingoing:
+                owners[i] = idx
+            for j in c.outgoing:
+                owners[n_in + j] = idx
         self.n_in = n_in
         self.n_out = n_out
         self.components = comps
         self.closed_genera = closed
+        self.owners = tuple(owners)
         self._hash = hash((n_in, n_out, comps, closed))
 
     def key(self):
@@ -210,19 +225,6 @@ def permutation(p: Sequence[int]) -> Cobordism:
     return Cobordism(n, n, [component((i,), (p[i],), 0) for i in range(n)])
 
 
-def owners(K: Cobordism) -> tuple[int, ...]:
-    """The index in ``K.components`` of the component of every boundary
-    label, in label order (label i is ingoing circle i, label n_in + j
-    outgoing circle j).  Closed pieces carry no labels."""
-    owner = [0] * (K.n_in + K.n_out)
-    for idx, c in enumerate(K.components):
-        for i in c.ingoing:
-            owner[i] = idx
-        for j in c.outgoing:
-            owner[K.n_in + j] = idx
-    return tuple(owner)
-
-
 def _characteristics(K: Cobordism) -> list[int]:
     """The Euler characteristic of every piece of K: its components in
     order, then its closed pieces."""
@@ -290,11 +292,11 @@ def _glue(chis: Sequence[int], ins: Sequence[int], outs: Sequence[int],
 def _side_by_side(first: Cobordism, second: Cobordism):
     """The pieces of both operands in one list, first's then second's:
     their Euler characteristics, and the piece of every boundary label
-    of `first` and of `second` (see :func:`owners`)."""
+    of `first` and of `second`."""
     chis = _characteristics(first)
     p = len(chis)
     chis += _characteristics(second)
-    return chis, owners(first), tuple(p + idx for idx in owners(second))
+    return chis, first.owners, tuple(p + idx for idx in second.owners)
 
 
 def compose(first: Cobordism, second: Cobordism) -> Cobordism:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .exact import RationalMatrix, kron, mat_mul
+from .exact import RationalMatrix, kron, mat_mul, read_int
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
                         verify_frobenius, zqs3)
 from .surface import Cobordism
@@ -161,10 +161,11 @@ ALGEBRAS = {
 
 
 def read_json(path: str):
-    """The JSON in the file at `path`; ValueError if malformed or too deep."""
+    """The JSON in the file at `path`; ValueError if malformed, too deep
+    or holding an integer of more than ``exact.MAX_VALUE_DIGITS`` digits."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=read_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -472,6 +474,56 @@ def test_separate_refuses_an_invariant_beyond_the_digit_limit(capsys,
                          "--right", str(right))
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert "limit of 4300 digits" in err
+
+
+def _inputs_beyond_the_digit_limit(tmp_path):
+    """Two command lines, each reading one number of 4 301 digits: qz5
+    with the comultiplication scaled by 10^4400 and the counit by
+    10^-4400, which is still Frobenius, and a closed genus."""
+    obj = json.loads(qz5().to_json())
+    for name, scale in (("comul", "{p}{z}/{q}"), ("counit", "{p}/{q}{z}")):
+        for entry in obj[name]["entries"]:
+            p, _, q = entry[2].partition("/")
+            entry[2] = scale.format(p=p, q=q or 1, z="0" * 4400)
+    algebra = tmp_path / "scaled.json"
+    algebra.write_text(json.dumps(obj))
+    big = tmp_path / "big.json"
+    big.write_text('{"in": 0, "out": 0, "components": [], "closed": [1'
+                   + "0" * 4300 + "]}")
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps(e_block(0, 0, 0).to_json_obj()))
+    return (("verify", "--algebra", f"file:{algebra}"),
+            ("separate", "--left", str(big), "--right", str(sphere)))
+
+
+def test_inputs_beyond_the_digit_limit_are_refused(capsys, tmp_path):
+    for argv in _inputs_beyond_the_digit_limit(tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "4300 digits" in err and "int_max_str" not in err
+
+
+def test_the_digit_limit_does_not_rest_on_the_interpreter(tmp_path):
+    # with the interpreter's int-string limit switched off, the program's
+    # own limit still refuses both inputs
+    import cobtqft
+    src = os.path.dirname(os.path.dirname(cobtqft.__file__))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; print(sys.get_int_max_str_digits())"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert limit.strip() == "0"
+    for argv in _inputs_beyond_the_digit_limit(tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "cobtqft", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "4300 digits" in proc.stderr
 
 
 def test_separate_closed_piece_limit(capsys, tmp_path):

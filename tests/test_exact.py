@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobtqft.exact import RationalMatrix, kron, mat_mul, swap_matrix
+from cobtqft.exact import (MAX_VALUE_DIGITS, RationalMatrix, kron, mat_mul,
+                           swap_matrix)
 from cobtqft.frobenius import faithful_algebra, qz5, zqs3
 from cobtqft.surface import e_block
 from cobtqft.tqft import evaluate
@@ -217,6 +218,19 @@ def test_json_rejects_malformed_matrices(obj):
         value = entries[-1][2]
         assert not (isinstance(value, str) and len(value) > 3
                     and value in message)
+
+
+def test_json_value_digit_limit():
+    # the program counts the digits itself, whatever the interpreter's
+    # int-string limit; a sign is not a digit, a leading zero is
+    wide = "9" * MAX_VALUE_DIGITS
+    for text, value in ((wide, int(wide)), ("-" + wide, -int(wide)),
+                        ("1/" + wide, F(1, int(wide)))):
+        m = RationalMatrix.from_json_obj(_entry(text))
+        assert m.entries == {(0, 0): value}
+    for text in ("9" + wide, "0" + wide, "1/0" + wide, "-9" + wide):
+        with pytest.raises(ValueError, match=f"{MAX_VALUE_DIGITS} digits"):
+            RationalMatrix.from_json_obj(_entry(text))
 
 
 def test_json_reads_the_documented_value_form():

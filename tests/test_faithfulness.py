@@ -175,6 +175,18 @@ def test_separating_closure_errors():
         separating_closure(e_block(1, 1, 1), e_block(1, 1, 0))
 
 
+def test_separating_closure_reads_the_normal_form_of_any_input_order():
+    # components and circles given in any order build one normal form
+    K = Cobordism(3, 0, [surface.Component((2, 0), (), 0),
+                         surface.Component((1,), (), 0)])
+    L = Cobordism(3, 0, [component((0, 2), (), 0), component((1,), (), 0)])
+    with pytest.raises(ValueError, match="equal"):
+        separating_closure(K, L)
+    M = Cobordism(3, 0, [component((0, 1), (), 0), component((2,), (), 0)])
+    ms_k, ms_m = separating_closure(K, M)
+    assert multiset_invariant(ms_k) != multiset_invariant(ms_m)
+
+
 def test_separating_closure_exhaustive_over_small_bounds():
     bounds = ScanBounds(max_circles=1, max_genus=1, max_closed=1,
                         max_closed_genus=1)
@@ -501,8 +513,30 @@ def test_cobordism_count_from_the_bounds():
         bounds = ScanBounds(*bounds)
         assert bounds.cobordism_count() == count
         assert len(enumerate_cobordisms(bounds)) == count
+        sizes = collections.Counter(
+            (K.n_in, K.n_out) for K in enumerate_cobordisms(bounds))
+        assert len(sizes) == (bounds.max_circles + 1) ** 2
+        for arity, size in sizes.items():
+            assert bounds.class_count(*arity) == size
         assert bounds.matrix_entries(15) == sum(
             15 ** (K.n_in + K.n_out) for K in enumerate_cobordisms(bounds))
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda every: every[:7] + every[8:], "enumerated 32 cobordisms"),
+    (lambda every: every[:-1] + every[-2:-1],
+     "1->1 class holds 18 cobordisms, 17 distinct"),
+    (lambda every: every + every[-1:], "enumerated 34 cobordisms"),
+], ids=["dropped", "repeated", "added"])
+def test_scan_proves_its_enumeration_complete(monkeypatch, broken, message):
+    from cobtqft import faithfulness
+    bounds = ScanBounds(1, 1, 1, 1)
+    every = enumerate_cobordisms(bounds)
+    assert len(every) == 33
+    monkeypatch.setattr(faithfulness, "enumerate_cobordisms",
+                        lambda b: broken(every))
+    with pytest.raises(RuntimeError, match=message):
+        faithfulness_scan(bounds)
 
 
 def test_scan_refuses_more_cobordisms_than_the_limit():

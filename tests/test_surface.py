@@ -6,7 +6,7 @@ from cobtqft import surface
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (MAX_INPUT_CIRCLES, MAX_INPUT_GENUS, Cobordism,
                              Component, component, compose, e_block,
-                             identity, owners, permutation, tensor)
+                             identity, permutation, tensor)
 
 SMALL = ScanBounds(max_circles=2, max_genus=1, max_closed=1, max_closed_genus=1)
 
@@ -163,13 +163,13 @@ def test_euler_characteristic_additive_under_compose():
 def test_owners():
     K = Cobordism(3, 4, [component((0, 2), (0, 2), 2),
                          component((1,), (1, 3), 0)], (1,))
-    assert owners(K) == (0, 1, 0, 0, 1, 0, 1)
-    assert owners(identity(2)) == (0, 1, 0, 1)
-    assert owners(e_block(0, 4, 0)) == ()
+    assert K.owners == (0, 1, 0, 0, 1, 0, 1)
+    assert identity(2).owners == (0, 1, 0, 1)
+    assert e_block(0, 4, 0).owners == ()
     # a component with outgoing circles only is ordered by n_in + its
     # least outgoing circle
-    assert owners(Cobordism(1, 2, [component((), (0,), 0),
-                                   component((0,), (1,), 1)])) == (0, 1, 0)
+    assert Cobordism(1, 2, [component((), (0,), 0),
+                            component((0,), (1,), 1)]).owners == (0, 1, 0)
 
 
 def test_canonical_order_makes_equality_structural():
@@ -182,6 +182,29 @@ def test_canonical_order_makes_equality_structural():
     assert a.closed_genera == (2, 0)
 
 
+def test_components_and_circles_in_any_order():
+    K = Cobordism(3, 0, [Component((2, 0), (), 0), Component((1,), (), 0)])
+    L = Cobordism(3, 0, [component((0, 2), (), 0), component((1,), (), 0)])
+    assert K == L and hash(K) == hash(L) and K.owners == L.owners == (0, 1, 0)
+    assert K.components == L.components
+    M = Cobordism(2, 2, [Component([1], (1, 0), 3), Component((0,), (), 0)])
+    assert M == Cobordism(2, 2, [component((0,), (), 0),
+                                 component((1,), (0, 1), 3)])
+
+
+def test_owners_is_the_partition_code():
+    # components in the order of their least label make owners a
+    # canonical code: equal owners iff equal boundary partitions
+    codes: dict = {}
+    for K in small_enumeration():
+        partition = (K.n_in, K.n_out, frozenset(
+            frozenset(c.ingoing) | frozenset(K.n_in + j for j in c.outgoing)
+            for c in K.components))
+        assert codes.setdefault((K.n_in, K.n_out, K.owners),
+                                partition) == partition
+    assert len(set(codes.values())) == len(codes)
+
+
 def test_cobordism_validation():
     with pytest.raises(ValueError):
         Cobordism(2, 1, [component((0,), (0,), 0)])  # ingoing 1 missing
@@ -190,6 +213,11 @@ def test_cobordism_validation():
                          component((0,), (), 0)])  # ingoing 0 reused
     with pytest.raises(ValueError):
         component((), (), 1)
+    for bad in (Component((), (), 0), Component((0,), (), -1)):
+        with pytest.raises(ValueError, match="invalid component"):
+            Cobordism(1, 0, [component((0,), (), 0), bad])
+    with pytest.raises(ValueError, match="invalid component"):
+        Cobordism(0, 0, [Component((), (), 0)])
 
 
 def test_json_round_trip():
