@@ -4,16 +4,18 @@ Scalars are :class:`fractions.Fraction` values, so every number is an
 arbitrary-precision rational kept in lowest terms with a positive
 denominator.  A matrix stores only integers: a positive denominator
 ``den`` and a dict ``nums`` of the numerators of its nonzero entries,
-``(row, col) -> int``; evaluating field theories on two or three
-circles produces matrices with 225 to 3375 columns that are mostly
-zero.  Every constructor ends in one normaliser (zeros dropped, the gcd
-divided out once, one int shared by the entries with one numerator),
-so the form is canonical and ``mat_mul``, ``kron``, ``transpose``,
-``scale``, ``key`` and equality work on integers alone.  ``entries`` is
-a view derived on each read: the nonzero entries as Fractions in
-lowest terms.  Matrix values given to a constructor are ints or
-Fractions (anything else is a TypeError), so no binary fraction or
-string slips in.
+keyed by flat position, so entry ``(r, c)`` is
+``nums.get(r * cols + c, 0) / den``; evaluating field theories on two
+or three circles produces matrices with 225 to 3375 columns that are
+mostly zero, and a plain int per entry is far smaller than an
+``(r, c)`` tuple.  Every constructor ends in one normaliser (zeros
+dropped, the gcd divided out once, one int shared by the entries with
+one numerator), so the form is canonical and ``mat_mul``, ``kron``,
+``transpose``, ``scale``, ``key`` and equality work on integers alone.
+``entries`` is a view derived on each read: the nonzero entries as
+``{(r, c): Fraction}`` in lowest terms.  Matrix values given to a
+constructor are ints or Fractions (anything else is a TypeError), so no
+binary fraction or string slips in.
 
 There is no floating point anywhere in this package.
 
@@ -32,6 +34,7 @@ entry, never the value, whose size is unbounded.
 from __future__ import annotations
 
 import json
+import pickle
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -68,7 +71,7 @@ def _over_one_denominator(values: dict) -> tuple[dict, int]:
 class RationalMatrix:
     """A sparse ``rows x cols`` matrix over the rationals.
 
-    Entry ``(r, c)`` is ``nums.get((r, c), 0) / den``.  The form is
+    Entry ``(r, c)`` is ``nums.get(r * cols + c, 0) / den``.  The form is
     canonical: ``den`` is positive, no value of ``nums`` is 0, and
     ``gcd(den, *nums.values()) == 1``.  Instances are immutable by
     convention: nothing mutates ``den`` or ``nums`` after construction.
@@ -84,7 +87,7 @@ class RationalMatrix:
             for (r, c), value in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("an entry lies outside the matrix")
-                values[r, c] = _rational(value)
+                values[r * cols + c] = _rational(value)
         self._normalise(rows, cols, *_over_one_denominator(values))
 
     def _normalise(self, rows: int, cols: int, nums: dict,
@@ -105,19 +108,20 @@ class RationalMatrix:
     @classmethod
     def _integer(cls, rows: int, cols: int, nums: dict,
                  den: int) -> "RationalMatrix":
-        """The matrix with entries ``nums[k] / den``; in-bounds keys and
-        ``den > 0`` are the caller's to ensure."""
+        """The matrix with entries ``nums[p] / den`` at flat positions p;
+        in-bounds positions and ``den > 0`` are the caller's to ensure."""
         return cls.__new__(cls)._normalise(rows, cols, nums, den)
 
     @classmethod
     def _adopt(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
-        """The matrix with int or Fraction entries ``data``, which must
-        have in-bounds keys; nothing is checked."""
-        return cls._integer(rows, cols, *_over_one_denominator(data))
+        """The matrix with int or Fraction entries ``{(r, c): value}``,
+        which must have in-bounds keys; nothing is checked."""
+        return cls._integer(rows, cols, *_over_one_denominator(
+            {r * cols + c: v for (r, c), v in data.items()}))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._integer(n, n, {(i, i): 1 for i in range(n)}, 1)
+        return cls._integer(n, n, {i * (n + 1): 1 for i in range(n)}, 1)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -137,10 +141,15 @@ class RationalMatrix:
         """The nonzero entries as ``{(r, c): Fraction}`` in lowest terms,
         built anew on each read; entries with one value share a Fraction."""
         value = {n: Fraction(n, self.den) for n in set(self.nums.values())}
-        return {k: value[n] for k, n in self.nums.items()}
+        cols = self.cols
+        return {divmod(p, cols): value[n] for p, n in self.nums.items()}
 
     def get(self, r: int, c: int) -> Fraction:
-        return Fraction(self.nums.get((r, c), 0), self.den)
+        """Entry ``(r, c)``; IndexError when it lies outside the matrix."""
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r}, {c}) lies outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        return Fraction(self.nums.get(r * self.cols + c, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -149,14 +158,21 @@ class RationalMatrix:
                 and self.den == other.den and self.nums == other.nums)
 
     def key(self):
-        """Canonical hashable form (for dict-based distinctness checks)."""
+        """Canonical hashable form (for dict-based distinctness checks):
+        the shape, ``den``, the sorted flat positions packed into one
+        bytes object, and the numerators in that order.  ``pickle``
+        writes an int of any size, a small one in a few bytes."""
+        nums = self.nums
+        positions = sorted(nums)
         return (self.rows, self.cols, self.den,
-                tuple(sorted((r, c, n) for (r, c), n in self.nums.items())))
+                pickle.dumps(positions, protocol=4),
+                tuple([nums[p] for p in positions]))
 
     def transpose(self) -> "RationalMatrix":
+        rows, cols = self.rows, self.cols
         return RationalMatrix._integer(
-            self.cols, self.rows,
-            {(c, r): n for (r, c), n in self.nums.items()}, self.den)
+            cols, rows, {(p % cols) * rows + p // cols: n
+                         for p, n in self.nums.items()}, self.den)
 
     def scale(self, s) -> "RationalMatrix":
         s = _rational(s)
@@ -247,15 +263,20 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise ValueError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
             "inner dimensions differ")
-    # group the left factor by column so each nonzero of b is touched once
+    # group the left factor by column so each nonzero of b is touched
+    # once; row i of a becomes the offset of row i of the product
+    width = b.cols
     cols_of_a: dict[int, list] = {}
-    for (i, j), v in a.nums.items():
-        cols_of_a.setdefault(j, []).append((i, v))
-    acc: dict[tuple[int, int], int] = {}
-    for (j, k), w in b.nums.items():
-        for i, v in cols_of_a.get(j, ()):
-            acc[i, k] = acc.get((i, k), 0) + v * w
-    return RationalMatrix._integer(a.rows, b.cols, acc, a.den * b.den)
+    for p, v in a.nums.items():
+        i, j = divmod(p, a.cols)
+        cols_of_a.setdefault(j, []).append((i * width, v))
+    acc: dict[int, int] = {}
+    for q, w in b.nums.items():
+        j, k = divmod(q, width)
+        for offset, v in cols_of_a.get(j, ()):
+            p = offset + k
+            acc[p] = acc.get(p, 0) + v * w
+    return RationalMatrix._integer(a.rows, width, acc, a.den * b.den)
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -265,19 +286,20 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     ``i * dim(b-side) + j``, matching the fixed ordering
     ``b1⊗b1, b1⊗b2, ..., bn⊗bn`` used for all tensor-product bases here.
     """
-    br, bc = b.rows, b.cols
-    data = {}
-    for (ia, ja), va in a.nums.items():
-        rbase = ia * br
-        cbase = ja * bc
-        for (ib, jb), vb in b.nums.items():
-            data[rbase + ib, cbase + jb] = va * vb
-    return RationalMatrix._integer(a.rows * br, a.cols * bc, data,
-                                   a.den * b.den)
+    ac, br, bc = a.cols, b.rows, b.cols
+    width = ac * bc
+    # entry (ia*br + ib, ja*bc + jb) sits at an outer offset from a's
+    # entry (ia, ja) plus an inner offset from b's entry (ib, jb)
+    outer = [(p // ac * br * width + p % ac * bc, va)
+             for p, va in a.nums.items()]
+    inner = [(q // bc * width + q % bc, vb) for q, vb in b.nums.items()]
+    data = {o + i: va * vb for o, va in outer for i, vb in inner}
+    return RationalMatrix._integer(a.rows * br, width, data, a.den * b.den)
 
 
 def swap_matrix(d1: int, d2: int) -> RationalMatrix:
     """The flip ``V⊗W -> W⊗V`` for spaces of dimensions d1 and d2."""
+    n = d1 * d2
     return RationalMatrix._integer(
-        d1 * d2, d1 * d2, {(j * d1 + i, i * d2 + j): 1
-                           for i in range(d1) for j in range(d2)}, 1)
+        n, n, {(j * d1 + i) * n + i * d2 + j: 1
+               for i in range(d1) for j in range(d2)}, 1)

@@ -31,6 +31,7 @@ it.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import json_type
@@ -97,12 +98,20 @@ class Cobordism:
         seen_in: list[int] = []
         seen_out: list[int] = []
         for c in components:
-            if c.genus < 0 or (not c.ingoing and not c.outgoing):
+            ins, outs = c.ingoing, c.outgoing
+            if c.genus < 0 or (not ins and not outs):
                 raise ValueError(f"invalid component {c!r}")
-            pieces.append(Component(tuple(sorted(c.ingoing)),
-                                    tuple(sorted(c.outgoing)), c.genus))
-            seen_in.extend(c.ingoing)
-            seen_out.extend(c.outgoing)
+            # component() and _glue give ascending tuples, kept as they
+            # are, so each circle tuple is sorted once
+            if not (type(c) is Component
+                    and type(ins) is tuple and type(outs) is tuple
+                    and (len(ins) < 2 or all(map(lt, ins, ins[1:])))
+                    and (len(outs) < 2 or all(map(lt, outs, outs[1:])))):
+                c = Component(tuple(sorted(ins)), tuple(sorted(outs)),
+                              c.genus)
+            pieces.append(c)
+            seen_in.extend(ins)
+            seen_out.extend(outs)
         comps = tuple(sorted(pieces, key=lambda c: c.ingoing[0]
                              if c.ingoing else n_in + c.outgoing[0]))
         closed = tuple(sorted(closed_genera, reverse=True))

@@ -14,6 +14,9 @@ the slots of its outgoing and ingoing circles (``_slots``).  The pass
 multiplies integers only: it reads each cached block's numerators and
 denominator (``RationalMatrix.nums`` and ``den``) directly, multiplies
 the denominators into one, and normalises the matrix once at the end.
+Positions are flat, as in ``nums`` (row times width plus column), so a
+block entry's slots make one integer offset and placing the block adds
+that offset to each position of the matrix so far.
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
@@ -128,17 +131,18 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     # the closed pieces come first, while the matrix has one entry
     pieces = [((), g, ()) for g in K.closed_genera]
     pieces += [(c.outgoing, c.genus, c.ingoing) for c in K.components]
-    nums, den = {(0, 0): 1}, 1
+    width = a.dim ** K.n_in
+    nums, den = {0: 1}, 1
     for outgoing, genus, ingoing in pieces:
         block = component_matrix(a, len(outgoing), genus, len(ingoing))
         rows = _slots(a.dim, outgoing, K.n_out)
         cols = _slots(a.dim, ingoing, K.n_in)
-        placed = [(rows[i], cols[j], w) for (i, j), w in block.nums.items()]
-        nums = {(r + i, s + j): v * w for (r, s), v in nums.items()
-                for i, j, w in placed}
+        bc = block.cols
+        placed = [(rows[k // bc] * width + cols[k % bc], w)
+                  for k, w in block.nums.items()]
+        nums = {p + q: v * w for p, v in nums.items() for q, w in placed}
         den *= block.den
-    matrix = RationalMatrix._integer(a.dim ** K.n_out, a.dim ** K.n_in,
-                                     nums, den)
+    matrix = RationalMatrix._integer(a.dim ** K.n_out, width, nums, den)
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 

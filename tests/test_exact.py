@@ -82,6 +82,37 @@ def test_construction_drops_zeros_and_validates():
         RationalMatrix(2, 2, {(2, 0): F(1)})
 
 
+def test_get_checks_its_bounds():
+    # a flat position r * cols + c would otherwise read another entry:
+    # (0, 3) of a 2x3 matrix is position 3, where entry (1, 0) sits
+    m = RationalMatrix(2, 3, {(1, 0): 1})
+    assert m.get(1, 0) == 1 and m.get(0, 2) == 0
+    for r, c in ((0, 3), (2, 0), (-1, 0), (0, -1), (1, 3)):
+        with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+            m.get(r, c)
+    with pytest.raises(IndexError):
+        RationalMatrix(0, 0).get(0, 0)
+
+
+def test_key_holds_every_shape():
+    # positions beyond 64 bits
+    big = RationalMatrix(2 ** 40, 2 ** 40, {(2 ** 39, 5): 1})
+    assert big.key() == RationalMatrix(2 ** 40, 2 ** 40,
+                                       {(2 ** 39, 5): 1}).key()
+    assert big.key() != RationalMatrix(2 ** 40, 2 ** 40,
+                                       {(2 ** 39, 6): 1}).key()
+    assert big.entries == {(2 ** 39, 5): 1} and big.get(2 ** 39, 5) == 1
+    assert big.transpose().entries == {(5, 2 ** 39): 1}
+    # one flat position and numerator, two shapes
+    wide = RationalMatrix(2, 3, {(1, 0): 2, (1, 2): 1})
+    tall = RationalMatrix(3, 2, {(1, 1): 2, (2, 1): 1})
+    assert sorted(wide.nums.items()) == sorted(tall.nums.items())
+    assert wide.key() != tall.key() and wide != tall
+    keys = {m.key() for m in (big, wide, tall, RationalMatrix(0, 0),
+                              RationalMatrix(0, 3), RationalMatrix(3, 0))}
+    assert len(keys) == 6
+
+
 def test_mat_mul_identity():
     m = qz5().mul
     assert mat_mul(RationalMatrix.identity(5), m) == m
@@ -288,6 +319,13 @@ def test_every_constructor_and_operation_is_canonical(data):
     ]
     for m, rows in built:
         assert_canonical(m, rows)
+        # the flat format: entry (r, c) is nums[r * cols + c] / den
+        assert all(type(p) is int and p in range(m.rows * m.cols)
+                   for p in m.nums)
+        entries = m.entries
+        for p, n in m.nums.items():
+            r, c = divmod(p, m.cols)
+            assert entries[r, c] == F(n, m.den) == rows[r][c]
     # the form is canonical: keys agree exactly when the matrices do
     for m, rows in built:
         for other, other_rows in built:
