@@ -3,7 +3,7 @@
 Subcommands::
 
     eval       evaluate a generator word under an algebra, emit matrix JSON
-    invariant  closed-form value of the closed genus-k surface
+    invariant  value of the closed genus-k surface under an algebra
     verify     run the Frobenius axiom checks, exit 0 iff all pass
     golden     regenerate the fixed structure matrices and diff byte-exactly
     scan       exhaustive pairwise-distinctness scan, emit a certificate
@@ -54,7 +54,8 @@ def cmd_eval(args) -> int:
 
 def cmd_invariant(args) -> int:
     genus = surface.check_input_genus(args.genus)
-    _emit(str(tqft.closed_invariant(args.algebra, genus)), args.output)
+    value = tqft.closed_invariant(load_algebra(args.algebra), genus)
+    _emit(format_rational(value), args.output)
     return 0
 
 
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("invariant",
-                       help="closed-form invariant of the closed genus-k surface")
+                       help="value of the closed genus-k surface")
     add_algebra(p)
     p.add_argument("--genus", type=int, required=True)
     add_output(p)

@@ -21,7 +21,9 @@ The invariant product separates genus multisets because each closed
 genus-k surface contributes 5·(3/2)^(k-1)·(2^(2k-1)+1): the power of 5
 counts components, the power of 2 in the denominator recovers the
 total genus, and primitive prime divisors of 2^(2k-1)+1 (Zsigmondy)
-pin down the individual genera.
+pin down the individual genera.  The value is read from ``A`` itself,
+its 0 -> 0 block (:func:`tqft.closed_invariant`); the tests check it
+against the formula through genus 300.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import surface
+from .frobenius import faithful_algebra
 from .surface import Cobordism
 from .tqft import (check_matrix_size, closed_invariant, ensure_verified,
                    evaluate, load_algebra)
@@ -106,8 +109,9 @@ def zsigmondy_witness(a: int, b: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _product(genera: tuple[int, ...]) -> Fraction:
     value = Fraction(1)
+    a = faithful_algebra()
     for k in genera:
-        value *= closed_invariant("A", k)
+        value *= closed_invariant(a, k)
     return value
 
 
@@ -333,12 +337,15 @@ class ScanCertificate:
     bounds: ScanBounds
     enumerated: int
     pairs_checked: int
-    verdict: str  # "distinct" or "collision"
     collision: Optional[tuple[Cobordism, Cobordism]] = None
 
     @property
+    def verdict(self) -> str:
+        return "distinct" if self.collision is None else "collision"
+
+    @property
     def distinct(self) -> bool:
-        return self.verdict == "distinct"
+        return self.collision is None
 
     def to_json_obj(self) -> dict:
         obj = {"algebra": self.algebra, "bounds": self.bounds.to_json_obj(),
@@ -377,7 +384,7 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
                          f"algebra hold more than {MAX_SCAN_ENTRIES} "
                          f"entries in all")
     ensure_verified(a)
-    reference = load_algebra("A")  # compared, so it need not be verified
+    reference = faithful_algebra()  # compared, so it need not be verified
     cross_check = all(getattr(a, name) == getattr(reference, name)
                       for name in ("mul", "unit", "comul", "counit"))
     every = enumerate_cobordisms(bounds)
@@ -402,7 +409,7 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
             pairs += before
             if matrix_key in seen:
                 return ScanCertificate(algebra, bounds, total, pairs,
-                                       "collision", (seen[matrix_key], K))
+                                       (seen[matrix_key], K))
             pairs += idx  # K is now confirmed distinct from all before it
             seen[matrix_key] = K
         if cross_check:
@@ -410,9 +417,9 @@ def faithfulness_scan(bounds: ScanBounds, algebra: str = "A"
                 ms_k, ms_l = separating_closure(K, L)
                 if multiset_invariant(ms_k) == multiset_invariant(ms_l):
                     return ScanCertificate(algebra, bounds, total, pairs,
-                                           "collision", (K, L))
+                                           (K, L))
         before += len(cobs)
     if pairs != total * (total - 1) // 2:
         raise RuntimeError(f"scan counted {pairs} pairs among {total} "
                            f"cobordisms, expected {total * (total - 1) // 2}")
-    return ScanCertificate(algebra, bounds, total, pairs, "distinct")
+    return ScanCertificate(algebra, bounds, total, pairs)

@@ -38,7 +38,7 @@ from .exact import json_type
 
 # The largest genus accepted from input (words, cobordism JSON and
 # `invariant --genus`): evaluating a genus-k piece multiplies k handle
-# operators, and its closed-form value holds 2^(2k-1).
+# operators, and under A a closed genus-k piece's value holds 2^(2k-1).
 MAX_INPUT_GENUS = 64
 
 # The most boundary circles per side a cobordism JSON file may have: the

@@ -19,11 +19,11 @@ block entry's slots make one integer offset and placing the block adds
 that offset to each position of the matrix so far.
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
-(``qz5``, ``zqs3`` and ``A``) and carries each one's closed-form value
-of the closed genus-k surface, ``5 * (3/2)^(k-1) * (2^(2k-1)+1)`` for
-the faithful 15-dimensional algebra ``A``; ``load_algebra`` resolves a
-table name or ``file:<path>`` to an algebra, and ``ensure_verified``
-(which ``evaluate`` calls) checks its axioms once.
+(``qz5``, ``zqs3`` and ``A``) by their builders; ``load_algebra``
+resolves a table name or ``file:<path>`` to an algebra, and
+``ensure_verified`` (which ``evaluate`` calls) checks its axioms once.
+``closed_invariant`` reads the closed genus-k surface's value from the
+algebra's own 0 -> 0 block, as any closed piece is evaluated.
 
 Evaluation is pure, so the building blocks are memoized per algebra
 with ``functools.lru_cache``; algebras hash by identity.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, NamedTuple
 
 from .exact import RationalMatrix, kron, mat_mul, read_int
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
@@ -79,10 +78,14 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
     """Matrix of the connected block E[m,k,n] = comul^m ∘ handle^k ∘ mul^n
     with n ingoing, m outgoing circles and genus k.
 
-    mul^n = E[1,0,n] (the unit at n = 0), comul^m = E[m,0,1] (the
-    counit at m = 0) and handle^k = E[1,k,1] are each built from the
-    next smaller one; any other block is E[m,0,1] ∘ (E[1,k,1] ∘ E[1,0,n]).
+    mul^n = E[1,0,n] (the unit at n = 0) and comul^m = E[m,0,1] (the
+    counit at m = 0) are each built from the next smaller one, and
+    handle^k = E[1,k,1] from its two halves, so building it recurses
+    about log2(k) deep; any other block is E[m,0,1] ∘ (E[1,k,1] ∘
+    E[1,0,n]).  A negative argument raises ValueError.
     """
+    if min(m, k, n) < 0:
+        raise ValueError("no block has a negative genus or circle count")
     one = RationalMatrix.identity(a.dim)
     if (m, k) == (1, 0):
         if n < 2:
@@ -93,8 +96,10 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
             return a.counit
         return mat_mul(kron(component_matrix(a, m - 1, 0, 1), one), a.comul)
     if (m, n) == (1, 1):
-        return mat_mul(component_matrix(a, 1, k - 1, 1),
-                       mat_mul(a.mul, a.comul))
+        if k == 1:
+            return mat_mul(a.mul, a.comul)
+        return mat_mul(component_matrix(a, 1, k // 2, 1),
+                       component_matrix(a, 1, k - k // 2, 1))
     inner = mat_mul(component_matrix(a, 1, k, 1), component_matrix(a, 1, 0, n))
     return mat_mul(component_matrix(a, m, 0, 1), inner)
 
@@ -146,22 +151,7 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 
-def _zqs3_closed(k: int) -> Fraction:
-    return Fraction(3, 2) ** (k - 1) * (Fraction(2) ** (2 * k - 1) + 1)
-
-
-class NamedAlgebra(NamedTuple):
-    build: Callable[[], FrobeniusAlgebra]
-    closed_form: Callable[[int], Fraction]  # the closed genus-k surface
-
-
-# At k = 0 each closed form evaluates to counit∘unit (5, 1 and 5), so one
-# expression covers all genera.
-ALGEBRAS = {
-    "qz5": NamedAlgebra(qz5, lambda k: Fraction(5)),
-    "zqs3": NamedAlgebra(zqs3, _zqs3_closed),
-    "A": NamedAlgebra(faithful_algebra, lambda k: 5 * _zqs3_closed(k)),
-}
+ALGEBRAS = {"qz5": qz5, "zqs3": zqs3, "A": faithful_algebra}
 
 
 def read_json(path: str):
@@ -178,22 +168,18 @@ def load_algebra(selector: str) -> FrobeniusAlgebra:
     """Resolve a table name or ``file:<path>`` to an algebra.
 
     The axioms are not checked here: :func:`ensure_verified` does that,
-    and :func:`evaluate` calls it.
+    and :func:`evaluate` and :func:`closed_invariant` call it.
     """
     if selector in ALGEBRAS:
-        return ALGEBRAS[selector].build()
+        return ALGEBRAS[selector]()
     if selector.startswith("file:"):
         return FrobeniusAlgebra.from_json_obj(read_json(selector[5:]))
     raise ValueError(f"unknown algebra {selector!r}: expected one of "
                      f"{', '.join(ALGEBRAS)} or file:<path>")
 
 
-def closed_invariant(name: str, k: int) -> Fraction:
-    """Closed-form value of the closed genus-k surface for a table algebra."""
-    if name not in ALGEBRAS:
-        raise ValueError(f"the closed form is only available for "
-                         f"{', '.join(ALGEBRAS)}; use `eval --term` with a "
-                         f"closed word for other algebras")
-    if k < 0:
-        raise ValueError("no closed surface has a negative genus")
-    return ALGEBRAS[name].closed_form(k)
+def closed_invariant(a: FrobeniusAlgebra, k: int) -> Fraction:
+    """Value of the closed genus-k surface under ``a``: the 0 -> 0 block
+    counit∘handle^k∘unit; AxiomFailure if ``a`` fails an axiom."""
+    ensure_verified(a)
+    return component_matrix(a, 0, k, 0).get(0, 0)

@@ -105,12 +105,12 @@ def test_criterion_04_special_property():
 def test_criterion_05_closed_invariant():
     with timer() as t:
         A = faithful_algebra()
-        assert closed_invariant("A", 0) == 5
-        assert closed_invariant("A", 1) == 15
-        assert closed_invariant("A", 2) == F(135, 2)
+        assert closed_invariant(A, 0) == 5
+        assert closed_invariant(A, 1) == 15
+        assert closed_invariant(A, 2) == F(135, 2)
         for k in range(9):
             formula = 5 * F(3, 2) ** (k - 1) * (F(2) ** (2 * k - 1) + 1)
-            assert closed_invariant("A", k) == formula
+            assert closed_invariant(A, k) == formula
             assert evaluate(A, e_block(0, k, 0)).matrix \
                 == RationalMatrix(1, 1, {(0, 0): formula}), k
     report(5, "closed genus-k surfaces evaluate to 5*(3/2)^(k-1)*(2^(2k-1)+1)",

@@ -39,7 +39,26 @@ def test_invariant(capsys):
     assert code == 2 and out == "" and "negative genus" in err
     assert len(err.splitlines()) == 1
     code, out, err = run(capsys, "invariant", "--algebra", "file:x", "--genus", "1")
-    assert code == 2 and "closed form" in err
+    assert code == 2 and out == "" and "No such file" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_invariant_reads_a_file_algebra(capsys, tmp_path):
+    path = tmp_path / "zqs3.json"
+    path.write_text(zqs3().to_json())
+    for genus in range(MAX_INPUT_GENUS + 1):
+        expected = run(capsys, "invariant", "--algebra", "zqs3",
+                       "--genus", str(genus))
+        assert run(capsys, "invariant", "--algebra", f"file:{path}",
+                   "--genus", str(genus)) == expected
+        assert expected[0] == 0
+    z = zqs3()
+    broken = FrobeniusAlgebra(3, z.mul, z.unit, z.comul, z.counit.scale(0))
+    path.write_text(broken.to_json())
+    code, out, err = run(capsys, "invariant", "--algebra", f"file:{path}",
+                         "--genus", "1")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert "fails Frobenius axioms" in err
 
 
 def test_eval_emits_header_and_matrix(capsys):
@@ -503,14 +522,20 @@ def test_inputs_beyond_the_digit_limit_are_refused(capsys, tmp_path):
         assert "4300 digits" in err and "int_max_str" not in err
 
 
+def _env_with_int_limit(limit: str) -> dict:
+    """The environment for running the package in a subprocess with the
+    interpreter's int-string limit set to `limit`."""
+    import cobtqft
+    src = os.path.dirname(os.path.dirname(cobtqft.__file__))
+    return dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+                PYTHONPATH=os.pathsep.join(
+                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def test_the_digit_limit_does_not_rest_on_the_interpreter(tmp_path):
     # with the interpreter's int-string limit switched off, the program's
     # own limit still refuses both inputs
-    import cobtqft
-    src = os.path.dirname(os.path.dirname(cobtqft.__file__))
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
-               PYTHONPATH=os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = _env_with_int_limit("0")
     if hasattr(sys, "get_int_max_str_digits"):
         limit = subprocess.run(
             [sys.executable, "-c",
@@ -524,6 +549,27 @@ def test_the_digit_limit_does_not_rest_on_the_interpreter(tmp_path):
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "4300 digits" in proc.stderr
+
+
+def test_invariant_refuses_a_value_beyond_the_digit_limit(tmp_path):
+    # qz5 with the counit scaled by 10^4000 and the comultiplication by
+    # 10^-4000 is still Frobenius; its closed genus-3 surface is
+    # 5/10^8000, whose denominator passes the limit
+    q = qz5()
+    scaled = FrobeniusAlgebra(q.dim, q.mul, q.unit,
+                              q.comul.scale(F(1, 10 ** 4000)),
+                              q.counit.scale(10 ** 4000))
+    path = tmp_path / "scaled.json"
+    path.write_text(scaled.to_json())
+    for limit in ("4300", "0"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobtqft", "invariant", "--algebra",
+             f"file:{path}", "--genus", "3"], env=_env_with_int_limit(limit),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "limit of 4300 digits" in proc.stderr
+        assert "int_max_str" not in proc.stderr
 
 
 def test_separate_closed_piece_limit(capsys, tmp_path):

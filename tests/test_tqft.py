@@ -101,6 +101,8 @@ def test_evaluate_refuses_broken_algebra():
     broken = FrobeniusAlgebra(3, z.mul, z.unit, z.comul, RationalMatrix(1, 3))
     with pytest.raises(AxiomFailure, match="counit"):
         evaluate(broken, identity(1))
+    with pytest.raises(AxiomFailure, match="counit"):
+        closed_invariant(broken, 1)
 
 
 def test_zqs3_handle_power_closed_form():
@@ -129,18 +131,26 @@ def test_qz5_special_property_through_genus_8():
 
 
 def test_closed_invariant_values():
-    assert closed_invariant("zqs3", 1) == 3
-    assert closed_invariant("A", 0) == 5
-    assert closed_invariant("A", 1) == 15
-    assert closed_invariant("A", 2) == F(135, 2)
-    assert closed_invariant("A", 3) == F(1485, 4)
-    assert closed_invariant("qz5", 7) == 5
+    A = faithful_algebra()
+    assert closed_invariant(zqs3(), 1) == 3
+    assert closed_invariant(A, 0) == 5
+    assert closed_invariant(A, 1) == 15
+    assert closed_invariant(A, 2) == F(135, 2)
+    assert closed_invariant(A, 3) == F(1485, 4)
+    assert closed_invariant(qz5(), 7) == 5
     # genus 0 is the sphere, counit of the unit
-    for tag, a in (("qz5", qz5()), ("zqs3", zqs3()), ("A", faithful_algebra())):
+    for a in (qz5(), zqs3(), A):
         sphere = mat_mul(a.counit, a.unit).get(0, 0)
-        assert closed_invariant(tag, 0) == sphere
-    with pytest.raises(ValueError):
-        closed_invariant("nope", 1)
+        assert closed_invariant(a, 0) == sphere
+    with pytest.raises(ValueError, match="negative genus"):
+        closed_invariant(A, -1)
+
+
+def test_component_matrix_refuses_negative_arguments():
+    z = zqs3()
+    for m, k, n in ((1, -1, 1), (-1, 0, 1), (1, 0, -1), (0, -5, 0)):
+        with pytest.raises(ValueError, match="negative genus"):
+            component_matrix(z, m, k, n)
 
 
 def test_closed_invariant_matches_full_evaluation_through_genus_8():
@@ -148,17 +158,17 @@ def test_closed_invariant_matches_full_evaluation_through_genus_8():
     z = zqs3()
     for k in range(9):
         assert evaluate(A, e_block(0, k, 0)).matrix.get(0, 0) \
-            == closed_invariant("A", k)
+            == closed_invariant(A, k)
         assert evaluate(z, e_block(0, k, 0)).matrix.get(0, 0) \
-            == closed_invariant("zqs3", k)
+            == closed_invariant(z, k)
 
 
 def test_multiplicative_over_disjoint_closed_pieces():
     A = faithful_algebra()
     K = tensor(tensor(e_block(0, 2, 0), e_block(0, 0, 0)), e_block(0, 1, 0))
     value = evaluate(A, K).matrix.get(0, 0)
-    assert value == (closed_invariant("A", 2) * closed_invariant("A", 0)
-                     * closed_invariant("A", 1))
+    assert value == (closed_invariant(A, 2) * closed_invariant(A, 0)
+                     * closed_invariant(A, 1))
 
 
 def test_swap_evaluates_to_flip():
@@ -293,14 +303,31 @@ def test_context_functoriality_covers_stretches_and_closure():
     assert lhs == rhs
 
 
+def _zqs3_closed(k: int) -> F:
+    return F(3, 2) ** (k - 1) * (F(2) ** (2 * k - 1) + 1)
+
+
+# The closed genus-k surface of each table algebra, typed by hand; at
+# k = 0 each gives counit∘unit (5, 1 and 5).
+CLOSED_FORMS = {"qz5": lambda k: F(5), "zqs3": _zqs3_closed,
+                "A": lambda k: 5 * _zqs3_closed(k)}
+
+
 def test_algebra_table_closed_forms_match_evaluation():
-    assert list(ALGEBRAS) == ["qz5", "zqs3", "A"]
-    for name, entry in ALGEBRAS.items():
+    assert ALGEBRAS == {"qz5": qz5, "zqs3": zqs3, "A": faithful_algebra}
+    for name, closed_form in CLOSED_FORMS.items():
         algebra = load_algebra(name)
-        assert algebra is entry.build()
+        assert algebra is ALGEBRAS[name]()
+        for k in range(301):
+            assert closed_invariant(algebra, k) == closed_form(k), (name, k)
         for k in range(6):
-            assert closed_invariant(name, k) \
+            assert closed_form(k) \
                 == evaluate(algebra, e_block(0, k, 0)).matrix.get(0, 0)
+    # a fresh copy has no block cached: its genus-2000 value is built
+    # from halves, not from 2000 nested calls
+    z = zqs3()
+    copy = FrobeniusAlgebra(z.dim, z.mul, z.unit, z.comul, z.counit)
+    assert closed_invariant(copy, 2000) == CLOSED_FORMS["zqs3"](2000)
 
 
 def test_load_algebra_selectors(tmp_path):
@@ -310,5 +337,4 @@ def test_load_algebra_selectors(tmp_path):
     assert loaded is not zqs3() and loaded.mul == zqs3().mul
     with pytest.raises(ValueError, match="unknown algebra 'B'"):
         load_algebra("B")
-    with pytest.raises(ValueError, match="closed form is only available"):
-        closed_invariant(f"file:{path}", 1)
+    assert closed_invariant(loaded, 1) == 3
