@@ -13,7 +13,8 @@ from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, MAX_SCAN_ENTRIES,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
-from cobtqft.frobenius import faithful_algebra, qz5
+from cobtqft.frobenius import (FiniteGroup, faithful_algebra, group_algebra,
+                               qz5, tensor_algebra, zqs3)
 from cobtqft import surface
 from cobtqft.surface import (Cobordism, compose, component, e_block,
                              identity, permutation, tensor)
@@ -374,15 +375,11 @@ def _reference_close(K, kept, a):
     return GenusMultiset(closure(K, a).closed_genera)
 
 
-def test_separating_closure_exhaustive_two_circles():
-    # two circles on a side exercise the same-side separating pairs,
-    # which route through both stretching moves; every pair must match
-    # the reference case analysis, in order
-    bounds = ScanBounds(max_circles=2, max_genus=1, max_closed=1,
-                        max_closed_genus=1)
-    pool = enumerate_cobordisms(bounds)
+def _check_every_pair_against_the_reference(bounds):
+    """Every equal-arity pair within bounds separates as the reference
+    case analysis does, in order; returns the number of pairs."""
     by_arity = {}
-    for K in pool:
+    for K in enumerate_cobordisms(bounds):
         by_arity.setdefault((K.n_in, K.n_out), []).append(K)
     checked = 0
     for group in by_arity.values():
@@ -392,7 +389,24 @@ def test_separating_closure_exhaustive_two_circles():
             assert (ms_k, ms_l) == _reference_separating_closure(K, L), (K, L)
             assert multiset_invariant(ms_k) != multiset_invariant(ms_l)
             checked += 1
-    assert checked == 44403
+    return checked
+
+
+def test_separating_closure_exhaustive_two_circles():
+    # two circles on a side exercise the same-side separating pairs,
+    # which route through both stretching moves; every pair must match
+    # the reference case analysis, in order
+    bounds = ScanBounds(max_circles=2, max_genus=1, max_closed=1,
+                        max_closed_genus=1)
+    assert _check_every_pair_against_the_reference(bounds) == 44403
+
+
+def test_separating_closure_exhaustive_three_circles():
+    # up to 6 labels and 15 label pairs: the first differing pair, read
+    # from the partition masks, must be the reference's first pair in
+    # itertools.combinations order well beyond two circles per side
+    assert _check_every_pair_against_the_reference(
+        ScanBounds(3, 0, 0, 0)) == 23513
 
 
 def _reference_glue(K, caps):
@@ -501,6 +515,25 @@ def test_scan_negative_control_qz5_finds_collision():
     assert back == left
 
 
+@pytest.mark.parametrize("p, bounds, left, right", [
+    (2, (0, 0, 4, 2), (1, 1, 1), (2, 0, 0, 0)),
+    (3, (0, 0, 2, 1), (0, 0), (1,)),
+], ids=["QZ2", "QZ3"])
+def test_scan_near_miss_controls(tmp_path, p, bounds, left, right):
+    # QZ_p (x) Z(QS3) for p = 2 and 3 gives the closed genus-k surface
+    # p * (3/2)^(k-1) * (2^(2k-1) + 1), whose products over these two
+    # multisets coincide; the paper's p = 5 separates them
+    path = tmp_path / f"qz{p}_zqs3.json"
+    path.write_text(tensor_algebra(group_algebra(FiniteGroup.cyclic(p)),
+                                   zqs3()).to_json())
+    bounds = ScanBounds(*bounds)
+    cert = faithfulness_scan(bounds, f"file:{path}")
+    assert cert.verdict == "collision"
+    assert cert.collision == (Cobordism(0, 0, (), left),
+                              Cobordism(0, 0, (), right))
+    assert faithfulness_scan(bounds).distinct
+
+
 def test_scan_rejects_oversized_bounds():
     with pytest.raises(ValueError, match="desk scale"):
         faithfulness_scan(ScanBounds(4, 1, 0, 0))
@@ -572,14 +605,20 @@ def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
     path = tmp_path / "A.json"
     path.write_text(faithful_algebra().to_json())
     assert load_algebra(f"file:{path}") is not faithful_algebra()
-    calls = []
+    calls, invariants = [], []
     original = faithfulness.separating_closure
+    original_invariant = faithfulness.multiset_invariant
 
     def counting(K, L):
         calls.append((K, L))
         return original(K, L)
 
+    def counting_invariant(ks):
+        invariants.append(ks)
+        return original_invariant(ks)
+
     monkeypatch.setattr(faithfulness, "separating_closure", counting)
+    monkeypatch.setattr(faithfulness, "multiset_invariant", counting_invariant)
     bounds = ScanBounds(max_circles=1, max_genus=1, max_closed=1,
                         max_closed_genus=1)
     cert = faithfulness_scan(bounds, f"file:{path}")
@@ -587,3 +626,4 @@ def test_scan_cross_checks_an_equal_copy_of_the_faithful_algebra(
     sizes = collections.Counter(
         (K.n_in, K.n_out) for K in enumerate_cobordisms(bounds))
     assert len(calls) == sum(n * (n - 1) // 2 for n in sizes.values()) > 0
+    assert len(invariants) == 2 * len(calls)
