@@ -180,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AxiomFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -81,8 +81,8 @@ def zsigmondy_witness(a: int, b: int, n: int) -> int:
         raise ValueError("a and b are not coprime")
     if n < 1:
         raise ValueError("need n >= 1")
-    # a >= 2, so n >= 48 already gives a^n >= 2^48
-    if n >= 48 or a ** n + b ** n >= ZSIGMONDY_LIMIT:
+    # a >= 2, n >= 1: n >= 48 or a >= 2^48 implies a^n >= 2^48, unpowered
+    if n >= 48 or a >= ZSIGMONDY_LIMIT or a ** n + b ** n >= ZSIGMONDY_LIMIT:
         raise ValueError("a^n + b^n is at least 2^48, beyond trial division")
     if (n, a, b) == (3, 2, 1):
         raise ExceptionalTriple(

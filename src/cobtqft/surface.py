@@ -8,6 +8,7 @@ A cobordism ``n -> m`` is stored by its complete classifying data:
 
 Two cobordisms are equivalent iff these data agree, so structural
 equality of the canonicalized representation decides equivalence.
+`Cobordism` alone canonicalizes circles, components and closed genera.
 
 Orientation runs top to bottom: the ingoing circles are at the top,
 and ``compose(K, L)`` glues the outgoing circles of ``K`` to the
@@ -16,8 +17,9 @@ ingoing circles of ``L`` ("K first, then L", diagrammatic order).
 A boundary label is an integer naming one circle of an ``n_in -> n_out``
 cobordism: label i is ingoing circle i, and label ``n_in + j`` outgoing
 circle j.  Components are kept in the order of their least label, so
-``Cobordism.owners``, built with the normal form, is a canonical code
-for the boundary partition: the index of every label's component.
+``Cobordism.owners`` is a canonical code for the boundary partition:
+the index of every label's component.  Filling it is the partition
+check: each label must be claimed by exactly one component.
 
 Gluing bookkeeping goes through the Euler characteristic: gluing along
 circles is additive (a circle has characteristic 0), so a merged
@@ -31,7 +33,6 @@ it.
 
 from __future__ import annotations
 
-from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import json_type
@@ -66,8 +67,9 @@ class Component(NamedTuple):
 
 
 def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Component:
-    ins = tuple(sorted(ingoing))
-    outs = tuple(sorted(outgoing))
+    """A validated component, its circles as given: `Cobordism` sorts them."""
+    ins = tuple(ingoing)
+    outs = tuple(outgoing)
     if not ins and not outs:
         raise ValueError("component with no boundary circles (closed pieces "
                          "live in closed_genera)")
@@ -79,11 +81,12 @@ def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Co
 class Cobordism:
     """Canonical normal form of a 2-cobordism ``n_in -> n_out``.
 
-    Components, and the circles of each, may be given in any order.
-    The circles are sorted, the components kept in the order of their
-    least boundary label, and the closed genera sorted descending, so
-    ``==`` decides cobordism equivalence.  ``owners[x]`` is the index in
-    ``components`` of the component of label x.
+    Components, and the circles of each, may be given in any order:
+    this constructor alone sorts the circles, keeps the components in
+    the order of their least boundary label and sorts the closed genera
+    descending, so ``==`` decides cobordism equivalence.  ``owners[x]``
+    is the index in ``components`` of the component of label x; filling
+    it checks that the components partition the labels.
     """
 
     __slots__ = ("n_in", "n_out", "components", "closed_genera", "owners",
@@ -95,40 +98,31 @@ class Cobordism:
         if n_in < 0 or n_out < 0:
             raise ValueError("negative arity")
         pieces = []
-        seen_in: list[int] = []
-        seen_out: list[int] = []
         for c in components:
-            ins, outs = c.ingoing, c.outgoing
-            if c.genus < 0 or (not ins and not outs):
+            if c.genus < 0 or not (c.ingoing or c.outgoing):
                 raise ValueError(f"invalid component {c!r}")
-            # component() and _glue give ascending tuples, kept as they
-            # are, so each circle tuple is sorted once
-            if not (type(c) is Component
-                    and type(ins) is tuple and type(outs) is tuple
-                    and (len(ins) < 2 or all(map(lt, ins, ins[1:])))
-                    and (len(outs) < 2 or all(map(lt, outs, outs[1:])))):
-                c = Component(tuple(sorted(ins)), tuple(sorted(outs)),
-                              c.genus)
-            pieces.append(c)
-            seen_in.extend(ins)
-            seen_out.extend(outs)
+            pieces.append(Component(tuple(sorted(c.ingoing)),
+                                    tuple(sorted(c.outgoing)), c.genus))
         comps = tuple(sorted(pieces, key=lambda c: c.ingoing[0]
                              if c.ingoing else n_in + c.outgoing[0]))
         closed = tuple(sorted(closed_genera, reverse=True))
-        if sorted(seen_in) != list(range(n_in)):
-            raise ValueError(
-                f"the ingoing circles do not partition 0..{n_in - 1}")
-        if sorted(seen_out) != list(range(n_out)):
-            raise ValueError(
-                f"the outgoing circles do not partition 0..{n_out - 1}")
-        if any(g < 0 for g in closed):
-            raise ValueError("negative closed genus")
-        owners = [0] * (n_in + n_out)
+        owners = [-1] * (n_in + n_out)
         for idx, c in enumerate(comps):
             for i in c.ingoing:
+                if type(i) is not int or not 0 <= i < n_in or owners[i] >= 0:
+                    raise _partition_error("ingoing", n_in)
                 owners[i] = idx
             for j in c.outgoing:
+                if (type(j) is not int or not 0 <= j < n_out
+                        or owners[n_in + j] >= 0):
+                    raise _partition_error("outgoing", n_out)
                 owners[n_in + j] = idx
+        if -1 in owners:
+            if owners.index(-1) < n_in:
+                raise _partition_error("ingoing", n_in)
+            raise _partition_error("outgoing", n_out)
+        if any(g < 0 for g in closed):
+            raise ValueError("negative closed genus")
         self.n_in = n_in
         self.n_out = n_out
         self.components = comps
@@ -199,6 +193,10 @@ class Cobordism:
                 closed)
         check_input_genus(K.max_genus())
         return K
+
+
+def _partition_error(side: str, n: int) -> ValueError:
+    return ValueError(f"the {side} circles do not partition 0..{n - 1}")
 
 
 def _json_int(value, field: str) -> int:

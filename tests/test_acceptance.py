@@ -253,6 +253,11 @@ def test_criterion_10_negative_control():
     with timer() as t:
         cert = faithfulness_scan(SCAN_BOUNDS, "qz5")
         assert cert.verdict == "collision"
+        # a collision certificate counts only the pairs checked before
+        # it; its bytes are what `scan --algebra qz5` prints
+        assert cert.pairs_checked == 1
+        assert hashlib.sha256((cert.to_json() + "\n").encode()).hexdigest() \
+            == "9bd07407e8e8d06e4460e1b3591078acf2b38d980fa5cab19299fdf2a4d9a5a7"
         left, right = cert.collision
         assert left != right
         assert evaluate(qz5(), left).matrix == evaluate(qz5(), right).matrix

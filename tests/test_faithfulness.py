@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,15 @@ def test_zsigmondy_limit():
                     (2, 1, 10 ** 9)):
         with pytest.raises(ValueError, match="2\\^48"):
             zsigmondy_witness(a, b, n)
+
+
+def test_zsigmondy_limit_refuses_a_huge_base_before_any_power():
+    # (10^100000)^47 alone takes seconds; a >= 2^48 is refused first
+    a = 10 ** 100_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^48"):
+        zsigmondy_witness(a, 1, 47)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zsigmondy_witnesses_for_odd_handle_exponents():

@@ -218,6 +218,15 @@ def test_cobordism_validation():
             Cobordism(1, 0, [component((0,), (), 0), bad])
     with pytest.raises(ValueError, match="invalid component"):
         Cobordism(0, 0, [Component((), (), 0)])
+    # on each side of a 2 -> 2 cobordism: a missing, a repeated, a
+    # negative, a too large and a non-integer label
+    for bad in ((0,), (0, 0), (0, -1), (0, 2), (0, 0.5), (0, 1.0)):
+        with pytest.raises(ValueError, match="the ingoing circles do not "
+                                             "partition 0..1"):
+            Cobordism(2, 2, [component(bad, (0, 1), 0)])
+        with pytest.raises(ValueError, match="the outgoing circles do not "
+                                             "partition 0..1"):
+            Cobordism(2, 2, [component((0, 1), bad, 0)])
 
 
 def test_json_round_trip():
