@@ -8,10 +8,12 @@ keyed by flat position, so entry ``(r, c)`` is
 ``nums.get(r * cols + c, 0) / den``; evaluating field theories on two
 or three circles produces matrices with 225 to 3375 columns that are
 mostly zero, and a plain int per entry is far smaller than an
-``(r, c)`` tuple.  Every constructor ends in one normaliser (zeros
-dropped, the gcd divided out once, one int shared by the entries with
-one numerator), so the form is canonical and ``mat_mul``, ``kron``,
-``transpose``, ``scale``, ``key`` and equality work on integers alone.
+``(r, c)`` tuple.  Every constructor ends in one normaliser, so the
+form is canonical and ``mat_mul``, ``kron``, ``transpose``, ``scale``,
+``key`` and equality work on integers alone.  The normaliser keeps a
+dict that is already canonical (no zero, gcd 1) as it is; any other it
+rewrites, dropping zeros, dividing the gcd out once and sharing one int
+among the entries with one numerator.
 ``entries`` is a view derived on each read: the nonzero entries as
 ``{(r, c): Fraction}`` in lowest terms.  Matrix values given to a
 constructor are ints or Fractions (anything else is a TypeError), so no
@@ -93,16 +95,20 @@ class RationalMatrix:
     def _normalise(self, rows: int, cols: int, nums: dict,
                    den: int) -> "RationalMatrix":
         # The canonical form of the matrix with entries nums[k] / den
-        # (den > 0).  Sharing one int per numerator keeps large evaluated
-        # matrices small in memory.
+        # (den > 0).  Every caller passes a dict of its own, so one that
+        # is already canonical (no zero, gcd 1) is kept as it is; any
+        # other is rewritten with one int shared per numerator, which
+        # keeps large evaluated matrices small in memory.
         distinct = set(nums.values())
-        distinct.discard(0)
         g = gcd(den, *distinct)
-        shared = {n: n // g for n in distinct}
         self.rows = rows
         self.cols = cols
         self.den = den // g
-        self.nums = {k: shared[n] for k, n in nums.items() if n}
+        if g == 1 and 0 not in distinct:
+            self.nums = nums
+        else:
+            shared = {n: n // g for n in distinct}
+            self.nums = {k: shared[n] for k, n in nums.items() if n}
         return self
 
     @classmethod
@@ -159,14 +165,15 @@ class RationalMatrix:
 
     def key(self):
         """Canonical hashable form (for dict-based distinctness checks):
-        the shape, ``den``, the sorted flat positions packed into one
-        bytes object, and the numerators in that order.  ``pickle``
-        writes an int of any size, a small one in a few bytes."""
+        the shape, ``den``, and two bytes objects: the sorted flat
+        positions, and the numerators in that order.  ``pickle`` writes
+        an int of any size, a small one in a few bytes, so a key holds
+        no int object per entry."""
         nums = self.nums
         positions = sorted(nums)
         return (self.rows, self.cols, self.den,
                 pickle.dumps(positions, protocol=4),
-                tuple([nums[p] for p in positions]))
+                pickle.dumps([nums[p] for p in positions], protocol=4))
 
     def transpose(self) -> "RationalMatrix":
         rows, cols = self.rows, self.cols

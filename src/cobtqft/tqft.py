@@ -16,7 +16,13 @@ denominator (``RationalMatrix.nums`` and ``den``) directly, multiplies
 the denominators into one, and normalises the matrix once at the end.
 Positions are flat, as in ``nums`` (row times width plus column), so a
 block entry's slots make one integer offset and placing the block adds
-that offset to each position of the matrix so far.
+that offset to each position of the matrix so far.  Two cases need no
+placement, because a piece that holds every boundary circle holds them
+in order and its block's positions are already final: a cobordism of
+one piece (a connected one with no closed pieces, or one closed piece)
+evaluates to its cached block itself, with no pass and no copy, and a
+connected cobordism with closed pieces multiplies its block's entries
+in where they stand.
 
 The table ``ALGEBRAS`` names the three algebras the command line knows
 (``qz5``, ``zqs3`` and ``A``) by their builders; ``load_algebra``
@@ -131,20 +137,33 @@ def check_matrix_size(a: FrobeniusAlgebra, n_in: int, n_out: int) -> None:
 
 
 def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
-    """Apply the field theory of ``a`` to a cobordism."""
+    """Apply the field theory of ``a`` to a cobordism.
+
+    The matrix of a cobordism of one piece is that piece's cached block
+    itself, shared with every other caller; like any RationalMatrix it
+    is not to be mutated.
+    """
     ensure_verified(a)
     # the closed pieces come first, while the matrix has one entry
     pieces = [((), g, ()) for g in K.closed_genera]
     pieces += [(c.outgoing, c.genus, c.ingoing) for c in K.components]
+    if len(pieces) == 1:
+        outgoing, genus, ingoing = pieces[0]
+        block = component_matrix(a, len(outgoing), genus, len(ingoing))
+        return Evaluation(a, K.n_in, K.n_out, block)
     width = a.dim ** K.n_in
     nums, den = {0: 1}, 1
     for outgoing, genus, ingoing in pieces:
         block = component_matrix(a, len(outgoing), genus, len(ingoing))
-        rows = _slots(a.dim, outgoing, K.n_out)
-        cols = _slots(a.dim, ingoing, K.n_in)
-        bc = block.cols
-        placed = [(rows[k // bc] * width + cols[k % bc], w)
-                  for k, w in block.nums.items()]
+        if len(outgoing) == K.n_out and len(ingoing) == K.n_in:
+            # the piece holds every circle, in order: nothing moves
+            placed = block.nums.items()
+        else:
+            rows = _slots(a.dim, outgoing, K.n_out)
+            cols = _slots(a.dim, ingoing, K.n_in)
+            bc = block.cols
+            placed = [(rows[k // bc] * width + cols[k % bc], w)
+                      for k, w in block.nums.items()]
         nums = {p + q: v * w for p, v in nums.items() for q, w in placed}
         den *= block.den
     matrix = RationalMatrix._integer(a.dim ** K.n_out, width, nums, den)

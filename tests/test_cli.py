@@ -522,20 +522,32 @@ def test_inputs_beyond_the_digit_limit_are_refused(capsys, tmp_path):
         assert "4300 digits" in err and "int_max_str" not in err
 
 
-def _env_with_int_limit(limit: str) -> dict:
-    """The environment for running the package in a subprocess with the
-    interpreter's int-string limit set to `limit`."""
+def _package_env(**overrides: str) -> dict:
+    """The environment for running the package in a subprocess, with
+    `overrides` set."""
     import cobtqft
     src = os.path.dirname(os.path.dirname(cobtqft.__file__))
-    return dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+    return dict(os.environ, **overrides,
                 PYTHONPATH=os.pathsep.join(
                     [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+def test_scan_at_three_circles_per_side_is_pinned():
+    # the one bound that evaluates 3 -> 3 matrices under A; a subprocess,
+    # so the 1.1 M-entry block does not stay cached in this process
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobtqft", "scan", "--max-circles", "3",
+         "--max-genus", "0", "--max-closed", "0", "--max-closed-genus", "0"],
+        env=_package_env(), capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "dfa159553749bb3128b1a478c9dab29b5058eb45aa0c1d2db3983a95bce9bc6d"
 
 
 def test_the_digit_limit_does_not_rest_on_the_interpreter(tmp_path):
     # with the interpreter's int-string limit switched off, the program's
     # own limit still refuses both inputs
-    env = _env_with_int_limit("0")
+    env = _package_env(PYTHONINTMAXSTRDIGITS="0")
     if hasattr(sys, "get_int_max_str_digits"):
         limit = subprocess.run(
             [sys.executable, "-c",
@@ -564,7 +576,8 @@ def test_invariant_refuses_a_value_beyond_the_digit_limit(tmp_path):
     for limit in ("4300", "0"):
         proc = subprocess.run(
             [sys.executable, "-m", "cobtqft", "invariant", "--algebra",
-             f"file:{path}", "--genus", "3"], env=_env_with_int_limit(limit),
+             f"file:{path}", "--genus", "3"],
+            env=_package_env(PYTHONINTMAXSTRDIGITS=limit),
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1

@@ -111,6 +111,19 @@ def test_key_holds_every_shape():
     keys = {m.key() for m in (big, wide, tall, RationalMatrix(0, 0),
                               RationalMatrix(0, 3), RationalMatrix(3, 0))}
     assert len(keys) == 6
+    # past rows, cols and den, a key holds bytes only
+    for m in (big, wide, tall, RationalMatrix(0, 3)):
+        assert all(type(part) is bytes for part in m.key()[3:])
+
+
+def test_key_tells_every_numerator_apart():
+    # one numerator changed: beyond 64 bits, or in sign only
+    for n, other in ((2 ** 64, 2 ** 64 + 1), (2 ** 70, 2 ** 70 + 2 ** 6),
+                     (2 ** 64 - 1, 2 ** 64), (2, -2), (2 ** 65, -2 ** 65)):
+        m = RationalMatrix(2, 2, {(0, 0): 1, (1, 1): n})
+        changed = RationalMatrix(2, 2, {(0, 0): 1, (1, 1): other})
+        assert m != changed and m.key() != changed.key(), (n, other)
+        assert m.key() == RationalMatrix(2, 2, {(0, 0): 1, (1, 1): n}).key()
 
 
 def test_mat_mul_identity():
@@ -336,7 +349,9 @@ def test_every_constructor_and_operation_is_canonical(data):
 
 def test_evaluated_entries_share_one_int_per_numerator():
     # numerators above 256 are not CPython's cached small ints, so each
-    # product in evaluate is a new object unless the normaliser shares it
+    # product is a new object unless the normaliser shares it; it does
+    # whenever it rewrites a dict, as when it divides out the gcd of the
+    # last product that builds this block
     m = evaluate(faithful_algebra(), e_block(2, 2, 2)).matrix
     distinct = set(m.nums.values())
     assert max(distinct) > 256 and len(m.nums) > 10 * len(distinct)

@@ -239,12 +239,21 @@ def _reference_evaluate(a, K):
 def test_evaluate_places_blocks_like_the_routed_kronecker_chain():
     checked = 0
     for name, bounds in (("A", ScanBounds(2, 1, 1, 1)),
-                         ("zqs3", ScanBounds(3, 0, 0, 0))):
+                         ("zqs3", ScanBounds(3, 0, 0, 0)),
+                         # connected cobordisms beside a closed piece,
+                         # up to three circles per side
+                         ("zqs3", ScanBounds(3, 0, 1, 1))):
         a = load_algebra(name)
         for K in enumerate_cobordisms(bounds):
             assert evaluate(a, K).matrix == _reference_evaluate(a, K), K
             checked += 1
-    assert checked == 864
+    assert checked == 2007
+
+
+def test_a_connected_cobordism_evaluates_to_its_cached_block():
+    A = faithful_algebra()
+    assert evaluate(A, e_block(2, 2, 2)).matrix is component_matrix(A, 2, 2, 2)
+    assert evaluate(A, e_block(0, 3, 0)).matrix is component_matrix(A, 0, 3, 0)
 
 
 TINY = ScanBounds(max_circles=1, max_genus=2, max_closed=1, max_closed_genus=2)
