@@ -355,19 +355,32 @@ def format_cobordism(K: Cobordism) -> str:
     The round trip holds iff the word keeps to the limits of `parse`:
     MAX_TOKENS tokens (eight a handle: genus 30 passes, genus 64 fails)
     and numbers up to MAX_NUMBER (a swap among 67 circles may need
-    id[65]).  Beyond them this raises ValueError naming both limits.
+    id[65]).  Beyond them this raises ValueError naming both limits,
+    before the word is built if it would nest too deep to print.
     """
     # route the circles to and from the order in which the components,
     # taken in turn, list them
     in_order = [i for c in K.components for i in c.ingoing]
+    out_order = [j for c in K.components for j in c.outgoing]
+    # n generators take 2n - 1 tokens or more with their separators; a
+    # block has max(1, 2 * (circles + genus) - 6) generators or more,
+    # and once that bounds the circles, each adjacent swap adds one
+    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
+            for c in K.components)
+    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
+    for order in (in_order, out_order):
+        if n <= MAX_TOKENS // 2:
+            n += sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    if 2 * n - 1 > MAX_TOKENS:
+        raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
+                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
     word = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
     blocks: Optional[Term] = None
     for c in K.components:
         piece = _block_word(len(c.outgoing), c.genus, len(c.ingoing))
         blocks = piece if blocks is None else Tens(left=blocks, right=piece)
     word = _seq(word, blocks)
-    word = _seq(word, _perm_word([j for c in K.components
-                                  for j in c.outgoing]))
+    word = _seq(word, _perm_word(out_order))
     for g in K.closed_genera:
         piece = _block_word(0, g, 0)
         word = piece if word is None else Tens(left=word, right=piece)

@@ -10,14 +10,14 @@ or three circles produces matrices with 225 to 3375 columns that are
 mostly zero, and a plain int per entry is far smaller than an
 ``(r, c)`` tuple.  Every constructor ends in one normaliser, so the
 form is canonical and ``mat_mul``, ``kron``, ``transpose``, ``scale``,
-``key`` and equality work on integers alone.  The normaliser keeps a
-dict that is already canonical (no zero, gcd 1) as it is; any other it
-rewrites, dropping zeros, dividing the gcd out once and sharing one int
-among the entries with one numerator.
-``entries`` is a view derived on each read: the nonzero entries as
-``{(r, c): Fraction}`` in lowest terms.  Matrix values given to a
-constructor are ints or Fractions (anything else is a TypeError), so no
-binary fraction or string slips in.
+``key``, equality and the JSON printer work on integers alone.  The
+normaliser keeps a dict that is already canonical (no zero, gcd 1) as
+it is; any other it rewrites, dropping zeros, dividing the gcd out
+once and sharing one int among the entries with one numerator.
+``entries``, which nothing in the package reads, is derived on each
+read: the nonzero entries as ``{(r, c): Fraction}`` in lowest terms.
+The ``(r, c)`` constructor alone checks its input: values are ints or
+Fractions (anything else is a TypeError), so no float or string slips in.
 
 There is no floating point anywhere in this package.
 
@@ -62,14 +62,6 @@ def _rational(value) -> int | Fraction:
     return value
 
 
-def _over_one_denominator(values: dict) -> tuple[dict, int]:
-    """``({k: n}, d)`` with ``values[k] == n / d``, for int or Fraction
-    values and ``d`` the lcm of their denominators."""
-    d = lcm(*{v.denominator for v in values.values()})
-    return {k: v.numerator * (d // v.denominator)
-            for k, v in values.items()}, d
-
-
 class RationalMatrix:
     """A sparse ``rows x cols`` matrix over the rationals.
 
@@ -90,7 +82,9 @@ class RationalMatrix:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("an entry lies outside the matrix")
                 values[r * cols + c] = _rational(value)
-        self._normalise(rows, cols, *_over_one_denominator(values))
+        d = lcm(*{v.denominator for v in values.values()})
+        self._normalise(rows, cols, {k: v.numerator * (d // v.denominator)
+                                     for k, v in values.items()}, d)
 
     def _normalise(self, rows: int, cols: int, nums: dict,
                    den: int) -> "RationalMatrix":
@@ -120,10 +114,8 @@ class RationalMatrix:
 
     @classmethod
     def _adopt(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
-        """The matrix with int or Fraction entries ``{(r, c): value}``,
-        which must have in-bounds keys; nothing is checked."""
-        return cls._integer(rows, cols, *_over_one_denominator(
-            {r * cols + c: v for (r, c), v in data.items()}))
+        """The checked constructor, named as the benchmark's tests call it."""
+        return cls(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -192,9 +184,12 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.nums)} nonzero)"
 
     def to_json_obj(self) -> dict:
-        entries = [[r, c, format_rational(v)]
-                   for (r, c), v in sorted(self.entries.items())]
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
+        """The JSON form; one string is formatted per distinct numerator."""
+        nums, cols = self.nums, self.cols
+        text = {n: format_rational(Fraction(n, self.den))
+                for n in set(nums.values())}
+        entries = [[p // cols, p % cols, text[nums[p]]] for p in sorted(nums)]
+        return {"rows": self.rows, "cols": cols, "entries": entries}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))

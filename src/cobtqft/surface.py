@@ -8,7 +8,7 @@ A cobordism ``n -> m`` is stored by its complete classifying data:
 
 Two cobordisms are equivalent iff these data agree, so structural
 equality of the canonicalized representation decides equivalence.
-`Cobordism` alone canonicalizes circles, components and closed genera.
+`Cobordism` alone checks and orders circles, components and closed genera.
 
 Orientation runs top to bottom: the ingoing circles are at the top,
 and ``compose(K, L)`` glues the outgoing circles of ``K`` to the
@@ -67,42 +67,38 @@ class Component(NamedTuple):
 
 
 def component(ingoing: Iterable[int], outgoing: Iterable[int], genus: int) -> Component:
-    """A validated component, its circles as given: `Cobordism` sorts them."""
-    ins = tuple(ingoing)
-    outs = tuple(outgoing)
-    if not ins and not outs:
-        raise ValueError("component with no boundary circles (closed pieces "
-                         "live in closed_genera)")
-    if genus < 0:
-        raise ValueError("a component has a negative genus")
-    return Component(ins, outs, genus)
+    """A piece, its circles as given: `Cobordism` checks and sorts them."""
+    return Component(tuple(ingoing), tuple(outgoing), genus)
 
 
 class Cobordism:
     """Canonical normal form of a 2-cobordism ``n_in -> n_out``.
 
     Components, and the circles of each, may be given in any order:
-    this constructor alone sorts the circles, keeps the components in
-    the order of their least boundary label and sorts the closed genera
-    descending, so ``==`` decides cobordism equivalence.  ``owners[x]``
-    is the index in ``components`` of the component of label x; filling
-    it checks that the components partition the labels.
+    this constructor alone checks each component, sorts the circles,
+    keeps the components in the order of their least boundary label and
+    sorts the closed genera descending, so ``==`` decides cobordism
+    equivalence.  ``owners[x]`` is the index in ``components`` of the
+    component of label x; filling it checks the partition of the labels.
     """
 
     __slots__ = ("n_in", "n_out", "components", "closed_genera", "owners",
-                 "_hash")
+                 "_key", "_hash")
 
     def __init__(self, n_in: int, n_out: int,
                  components: Iterable[Component] = (),
                  closed_genera: Iterable[int] = ()):
-        if n_in < 0 or n_out < 0:
-            raise ValueError("negative arity")
         pieces = []
         for c in components:
-            if c.genus < 0 or not (c.ingoing or c.outgoing):
-                raise ValueError(f"invalid component {c!r}")
+            if not (c.ingoing or c.outgoing):
+                raise ValueError("component with no boundary circles (closed "
+                                 "pieces live in closed_genera)")
+            if c.genus < 0:
+                raise ValueError("a component has a negative genus")
             pieces.append(Component(tuple(sorted(c.ingoing)),
                                     tuple(sorted(c.outgoing)), c.genus))
+        if n_in < 0 or n_out < 0:
+            raise ValueError("negative arity")
         comps = tuple(sorted(pieces, key=lambda c: c.ingoing[0]
                              if c.ingoing else n_in + c.outgoing[0]))
         closed = tuple(sorted(closed_genera, reverse=True))
@@ -128,19 +124,17 @@ class Cobordism:
         self.components = comps
         self.closed_genera = closed
         self.owners = tuple(owners)
-        self._hash = hash((n_in, n_out, comps, closed))
+        self._key = (n_in, n_out, comps, closed)
+        self._hash = hash(self._key)
 
     def key(self):
         """Sort key realizing the enumeration order of cobordisms."""
-        return (self.n_in, self.n_out, self.components, self.closed_genera)
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cobordism):
             return NotImplemented
-        return (self._hash == other._hash
-                and self.n_in == other.n_in and self.n_out == other.n_out
-                and self.components == other.components
-                and self.closed_genera == other.closed_genera)
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

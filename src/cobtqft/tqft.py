@@ -67,13 +67,10 @@ class Evaluation:
 
 
 @lru_cache(maxsize=None)
-def _axioms(a: FrobeniusAlgebra) -> AxiomReport:
-    return verify_frobenius(a)
-
-
 def ensure_verified(a: FrobeniusAlgebra) -> AxiomReport:
-    """The memoized axiom report of ``a``; AxiomFailure if any fails."""
-    report = _axioms(a)
+    """The axiom report of ``a``, cached once it passes; AxiomFailure, not
+    cached, if any axiom fails (every caller stops at the first)."""
+    report = verify_frobenius(a)
     if not report.all_pass:
         raise AxiomFailure(report)
     return report

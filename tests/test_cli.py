@@ -108,6 +108,14 @@ def test_eval_output_is_pinned(capsys, algebra):
     assert tuple(digests) == EVAL_DIGESTS[algebra]
 
 
+def test_eval_of_a_two_by_two_block_is_pinned(capsys):
+    # 79 781 bytes of a 2 -> 2 matrix printed from its flat positions
+    code, out, _ = run(capsys, "eval", "--algebra", "A", "--term", "E[2,1,2]")
+    assert code == 0 and len(out) == 79781
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e0ff4f42f2337e1ecfcfe215d9167e097916bbfb569fa55136b240920e96b5d2")
+
+
 # Q[x]/(x^2) on the basis (1, x) with counit 1 on x and 0 on 1: the
 # sphere evaluates to 0 and the torus to counit(2x) = 2
 DUAL_NUMBERS = {
@@ -164,7 +172,7 @@ def verify_calls(monkeypatch):
     """The algebras passed to verify_frobenius, wherever it is called from,
     counted from an empty axiom-report cache."""
     from cobtqft import frobenius, tqft
-    tqft._axioms.cache_clear()
+    tqft.ensure_verified.cache_clear()
     calls = []
     original = frobenius.verify_frobenius
 

@@ -305,6 +305,35 @@ def test_format_refuses_a_word_that_parse_would_reject():
     assert elaborate(parse(format_cobordism(K))) == K
     with pytest.raises(ValueError, match="numbers up to 65; " + limits):
         format_cobordism(permutation((1, 0, *range(2, 67))))
+    # words nested too deep to print are refused before they are built:
+    # 496 adjacent swaps, 600 cylinders, 600 closed pieces, 1000 handles
+    # and a product of 600 circles
+    for K in (permutation(tuple(reversed(range(32)))), identity(600),
+              Cobordism(0, 0, (), [0] * 600), e_block(1, 1000, 1),
+              e_block(1, 0, 600)):
+        with pytest.raises(ValueError, match="at least .*" + limits):
+            format_cobordism(K)
+
+
+def test_format_refuses_early_only_words_nested_too_deep():
+    # the count made before building never passes the word's own: a word
+    # that is built keeps its exact count, even far past the limit, and
+    # the deepest words the count admits still print
+    cases = list(enumerate_cobordisms(ScanBounds(2, 1, 1, 1)))
+    cases += [permutation(tuple(reversed(range(n)))) for n in range(2, 22)]
+    cases += [e_block(1, 0, 127), e_block(127, 0, 1), e_block(1, 125, 1),
+              e_block(0, 128, 0), identity(250),
+              Cobordism(0, 0, (), [0] * 250)]
+    refused_after_building = 0
+    for K in cases:
+        try:
+            assert elaborate(parse(format_cobordism(K))) == K
+        except ValueError as refused:
+            assert "at least" not in str(refused), K
+            refused_after_building += 1
+    assert refused_after_building == 19
+    with pytest.raises(ValueError, match="at least 503 tokens"):
+        format_cobordism(e_block(1, 0, 128))
 
 
 def test_format_round_trip_routing_heavy():

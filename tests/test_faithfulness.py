@@ -14,12 +14,14 @@ from cobtqft.faithfulness import (MAX_SCAN_COBORDISMS, MAX_SCAN_ENTRIES,
                                   faithfulness_scan, genus_multiset,
                                   lemma4_injectivity, multiset_invariant,
                                   separating_closure, zsigmondy_witness)
-from cobtqft.frobenius import (FiniteGroup, faithful_algebra, group_algebra,
-                               qz5, tensor_algebra, zqs3)
+from cobtqft.exact import RationalMatrix
+from cobtqft.frobenius import (FiniteGroup, FrobeniusAlgebra, faithful_algebra,
+                               group_algebra, qz5, tensor_algebra,
+                               verify_frobenius, zqs3)
 from cobtqft import surface
 from cobtqft.surface import (Cobordism, compose, component, e_block,
                              identity, permutation, tensor)
-from cobtqft.tqft import load_algebra
+from cobtqft.tqft import closed_invariant, load_algebra
 
 
 def _factor_then_filter_witness(a: int, b: int, n: int) -> int:
@@ -542,6 +544,51 @@ def test_scan_near_miss_controls(tmp_path, p, bounds, left, right):
     assert cert.collision == (Cobordism(0, 0, (), left),
                               Cobordism(0, 0, (), right))
     assert faithfulness_scan(bounds).distinct
+
+
+def _split_algebra(tmp_path, counit) -> str:
+    """`file:` selector of Q x Q on its idempotents e1, e2: e_i e_j is
+    delta_ij e_i, the unit e1 + e2, the counit `counit` and the comul
+    e_i -> e_i (x) e_i / counit_i, so the handle acts on e_i as
+    1 / counit_i and the closed genus-g surface is the sum of
+    counit_i^(1 - g)."""
+    e1, e2 = map(F, counit)
+    a = FrobeniusAlgebra(
+        2, RationalMatrix(2, 4, {(0, 0): 1, (1, 3): 1}),
+        RationalMatrix(2, 1, {(0, 0): 1, (1, 0): 1}),
+        RationalMatrix(4, 2, {(0, 0): 1 / e1, (3, 1): 1 / e2}),
+        RationalMatrix(1, 2, {(0, 0): e1, (0, 1): e2}))
+    assert verify_frobenius(a).all_pass
+    path = tmp_path / f"split_{e1.denominator}_{e2.denominator}.json"
+    path.write_text(a.to_json())
+    return f"file:{path}"
+
+
+def test_dimension_two_control_separates_beyond_the_bounds_of_a(tmp_path):
+    # handle eigenvalues 2 and 3: the closed values 2^(g-1) + 3^(g-1)
+    # are independent by Zsigmondy, and the 2 -> 2 matrices are small
+    selector = _split_algebra(tmp_path, (F(1, 2), F(1, 3)))
+    a = load_algebra(selector)
+    for g in range(31):
+        assert closed_invariant(a, g) == F(2) ** (g - 1) + F(3) ** (g - 1)
+    # (3,1,0,0) is a bound that scan refuses for A
+    for bounds in ((2, 2, 1, 3), (3, 1, 0, 0), (1, 3, 4, 6)):
+        assert faithfulness_scan(ScanBounds(*bounds), selector).distinct
+
+
+@pytest.mark.parametrize("counit, bounds, left, right, pairs", [
+    ((1, F(1, 4)), (1, 3, 4, 6), (1, 1, 0), (2,), 105),
+    ((F(1, 2), F(1, 2)), (2, 2, 1, 3), (), (0,), 0),
+], ids=["c0-c1-c1-is-c2", "one-eigenvalue"])
+def test_dimension_two_near_misses(tmp_path, counit, bounds, left, right,
+                                   pairs):
+    # counit (1, 1/4) gives c_0 * c_1^2 = c_2; equal counits give one
+    # eigenvalue, and c_0 = 1 equals the empty product
+    cert = faithfulness_scan(ScanBounds(*bounds),
+                             _split_algebra(tmp_path, counit))
+    assert cert.verdict == "collision" and cert.pairs_checked == pairs
+    assert cert.collision == (Cobordism(0, 0, (), left),
+                              Cobordism(0, 0, (), right))
 
 
 def test_scan_rejects_oversized_bounds():

@@ -211,13 +211,19 @@ def test_cobordism_validation():
     with pytest.raises(ValueError):
         Cobordism(1, 1, [component((0,), (0,), 0),
                          component((0,), (), 0)])  # ingoing 0 reused
-    with pytest.raises(ValueError):
-        component((), (), 1)
-    for bad in (Component((), (), 0), Component((0,), (), -1)):
-        with pytest.raises(ValueError, match="invalid component"):
+    empty = "component with no boundary circles"
+    negative = "a component has a negative genus"
+    for bad, message in ((component((), (), 1), empty),
+                         (Component((0,), (), -1), negative)):
+        with pytest.raises(ValueError, match=message):
             Cobordism(1, 0, [component((0,), (), 0), bad])
-    with pytest.raises(ValueError, match="invalid component"):
+    with pytest.raises(ValueError, match=empty):
         Cobordism(0, 0, [Component((), (), 0)])
+    # the message names no label, however many the component has
+    huge = Component(tuple(range(10 ** 5)), (), -1)
+    with pytest.raises(ValueError, match=negative) as raised:
+        Cobordism(10 ** 5, 0, [huge])
+    assert len(str(raised.value)) < 100
     # on each side of a 2 -> 2 cobordism: a missing, a repeated, a
     # negative, a too large and a non-integer label
     for bad in ((0,), (0, 0), (0, -1), (0, 2), (0, 0.5), (0, 1.0)):
