@@ -46,9 +46,8 @@ def cmd_eval(args) -> int:
     surface.check_input_genus(K.max_genus())
     tqft.check_matrix_size(algebra, K.n_in, K.n_out)
     ev = tqft.evaluate(algebra, K)
-    obj = {"in": ev.n_in, "out": ev.n_out, "dim": algebra.dim,
-           "matrix": ev.matrix.to_json_obj()}
-    _emit(json.dumps(obj, separators=(",", ":")), args.output)
+    _emit(f'{{"in":{ev.n_in},"out":{ev.n_out},"dim":{algebra.dim},'
+          f'"matrix":{ev.matrix.to_json()}}}', args.output)
     return 0
 
 

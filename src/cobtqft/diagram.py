@@ -17,9 +17,12 @@ E[m,k,n]: n->m (the connected genus-k block, admitted as sugar).
 convention; in function-composition notation it is ``b ∘ a``.
 
 Names, numbers and whitespace are ASCII.  A word holds at most
-MAX_TOKENS tokens, which bounds the nesting depth the recursive parser
-and elaborator meet, and every number in it is at most MAX_NUMBER.
-Error messages name a token by its kind and position, never its text.
+MAX_TOKENS tokens, and every number in it is at most MAX_NUMBER.
+`parse` splits a word with one regular expression, stopping after
+MAX_TOKENS + 1 tokens, and reads the tokens in one loop with a stack of
+open parentheses, so it does not recurse; the token limit bounds the
+nesting depth that the recursive elaborator and printer meet.  Error
+messages name a token by its kind and position, never its text.
 """
 
 from __future__ import annotations
@@ -72,140 +75,152 @@ class Tens(Term):
     right: Term
 
 
-# the connected generators, as the parameters m, k, n of E[m,k,n]
-_BLOCKS = {"mu": (1, 0, 2), "eta": (1, 0, 0), "delta": (2, 0, 1),
-           "eps": (0, 0, 1)}
+# the parameterless generators and id[1], one shared node each: a Gen is
+# frozen, so the parser and the word builders below can share them
+_MU, _ETA, _DELTA, _EPS, _SWAP = map(Gen, "mu eta delta eps swap".split())
+_ID1 = Gen("id", (1,))
+
+# a generator without parameters, with its ingoing and outgoing arity
+_LEAVES = {"mu": (_MU, 2, 1), "eta": (_ETA, 0, 1), "delta": (_DELTA, 1, 2),
+           "eps": (_EPS, 1, 0), "swap": (_SWAP, 2, 2)}
 
 
 MAX_TOKENS = 500
 MAX_NUMBER = 64
 
-# finditer skips the ASCII whitespace between tokens; any other character
-# that starts no token is `bad`
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<sym>[;*()\[\],])"
-                    r"|(?P<bad>[^ \t\n\r\f\v])", re.ASCII)
-# what an error says about a token it did not expect; never its text,
-# which may be arbitrarily long
-_KINDS = {"name": "a name", "int": "a number", "sym": "a symbol",
-          "end": "the end of the input"}
+# splitting on a token leaves the tokens at the odd indices and the text
+# between them, which must be ASCII whitespace, at the even ones; any
+# other character that starts no token is `_BAD`
+_TOKEN = re.compile(r"([A-Za-z_]\w*|\d+|[;*()\[\],])", re.ASCII)
+_BAD = re.compile(r"[^ \t\n\r\f\v\w;*()\[\],]", re.ASCII)
+# an error names a token it did not expect by its kind, told by its
+# first character ("" is the end), never by its text, which may be long
+_KINDS = {"": "the end of the input",
+          **dict.fromkeys("0123456789", "a number"),
+          **dict.fromkeys(";*()[],", "a symbol")}
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "bad":
-            raise TermSyntaxError(f"unexpected character {m.group()!r}", pos)
-        if len(tokens) == MAX_TOKENS:
-            raise TermSyntaxError(f"the word has more than {MAX_TOKENS} "
-                                  f"tokens", pos)
-        tokens.append((kind, m.group(), pos))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _kind(token: str) -> str:
+    return _KINDS.get(token[:1], "a name")
 
 
-class _Parser:
-    """Recursive descent that type-checks as it reads: `term`, `tens` and
-    `atom` return a subterm with its ingoing and outgoing arity and the
-    position of its first generator."""
+def _position(parts: list[str], i: int) -> int:
+    """The offset of token i (the end if there is none) in the text."""
+    return sum(map(len, parts[:2 * i + 1]))
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.fault: Optional[TermArityError] = None  # the first ill-typed ";"
 
-    def peek(self):
-        return self.tokens[self.i]
+# the numbers up to the limit by their text; any other is read by digits
+_NUMBERS = {str(n): n for n in range(MAX_NUMBER + 1)}
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, value: str):
-        kind, text, pos = self.next()
-        if text != value:
-            raise TermSyntaxError(f"expected {value!r}, found {_KINDS[kind]}",
-                                  pos)
-
-    def parse_int(self) -> int:
-        kind, text, pos = self.next()
-        if kind != "int":
-            raise TermSyntaxError(f"expected a number, found {_KINDS[kind]}",
-                                  pos)
+def _params(tokens: list[str], parts: list[str], i: int,
+            form: list[str]) -> list[int]:
+    """The numbers at tokens[i:] between the brackets and commas `form`."""
+    end = i + 2 * len(form) - 1
+    numbers = [_NUMBERS.get(t) for t in tokens[i + 1:end:2]]
+    if tokens[i:end:2] == form and None not in numbers:
+        return numbers
+    # the word ends in "", which fails here before tokens[k] runs out
+    for k in range(i, end):
+        token = tokens[k]
+        if (k - i) % 2 == 0:
+            want = form[(k - i) // 2]
+            if token != want:
+                raise TermSyntaxError(f"expected {want!r}, found "
+                                      f"{_kind(token)}", _position(parts, k))
+        elif not token.isdigit():
+            raise TermSyntaxError(f"expected a number, found {_kind(token)}",
+                                  _position(parts, k))
         # counting digits first keeps int() off numbers of any length
-        n = MAX_NUMBER + 1 if len(text) > MAX_NUMBER else int(text)
-        if n > MAX_NUMBER:
+        elif len(token) > MAX_NUMBER or int(token) > MAX_NUMBER:
             raise TermSyntaxError(f"a number exceeds the limit {MAX_NUMBER}",
-                                  pos)
-        return n
-
-    def term(self):
-        t, n, m, pos = self.tens()
-        while self.peek()[1] == ";":
-            self.next()
-            right, rn, rm, right_pos = self.tens()
-            if m != rn and self.fault is None:
-                meet = "circle meets" if m == 1 else "circles meet"
-                self.fault = TermArityError(
-                    f"cannot compose {n}->{m} with {rn}->{rm}: "
-                    f"{m} outgoing {meet} {rn} ingoing", right_pos)
-            t, m = Comp(t, right), rm
-        return t, n, m, pos
-
-    def tens(self):
-        t, n, m, pos = self.atom()
-        while self.peek()[1] == "*":
-            self.next()
-            right, rn, rm, _ = self.atom()
-            t, n, m = Tens(t, right), n + rn, m + rm
-        return t, n, m, pos
-
-    def atom(self):
-        kind, text, pos = self.next()
-        if text == "(":
-            parsed = self.term()
-            self.expect(")")
-            return parsed
-        if kind != "name":
-            raise TermSyntaxError(
-                f"expected a generator, found {_KINDS[kind]}", pos)
-        if text in _BLOCKS:
-            m, _, n = _BLOCKS[text]
-            return Gen(text), n, m, pos
-        if text == "swap":
-            return Gen(text), 2, 2, pos
-        if text == "id":
-            self.expect("[")
-            n = self.parse_int()
-            self.expect("]")
-            return Gen("id", (n,)), n, n, pos
-        if text == "E":
-            self.expect("[")
-            m = self.parse_int()
-            self.expect(",")
-            k = self.parse_int()
-            self.expect(",")
-            n = self.parse_int()
-            self.expect("]")
-            return Gen("E", (m, k, n)), n, m, pos
-        raise TermSyntaxError("unknown generator name", pos)
+                                  _position(parts, k))
+    return [int(t) for t in tokens[i + 1:end:2]]
 
 
 def parse(text: str) -> Term:
-    """Parse and type-check a generator word.
+    """Parse and type-check a generator word, in one loop over at most
+    MAX_TOKENS + 1 tokens.
 
-    Syntax errors come first; then the first ill-typed ";" in reading
-    order raises TermArityError at its right operand's first generator.
+    Syntax errors come first, in reading order; then the first ill-typed
+    ";" in reading order, checked as its right operand closes, raises
+    TermArityError at that operand's first generator.
     """
-    p = _Parser(text)
-    t = p.term()[0]
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise TermSyntaxError(f"trailing input: {_KINDS[kind]}", pos)
-    if p.fault is not None:
-        raise p.fault
-    return t
+    parts = _TOKEN.split(text, maxsplit=MAX_TOKENS + 1)
+    tokens = parts[1::2]
+    # past MAX_TOKENS tokens, the last part is text that was not split
+    over = len(tokens) > MAX_TOKENS
+    bad = _BAD.search(text, 0, len(text) - len(parts[-1]) if over
+                      else len(text))
+    if bad:
+        raise TermSyntaxError(f"unexpected character {bad.group()!r}",
+                              bad.start())
+    if over:
+        raise TermSyntaxError(f"the word has more than {MAX_TOKENS} tokens",
+                              _position(parts, MAX_TOKENS))
+    tokens.append("")  # the end of the input
+    # a subterm is (term, ins, outs, token index of its first generator);
+    # per group, `comp` is the ";" chain before the current operand and
+    # `tens` the "*" chain waiting for its next atom
+    stack: list = []  # the enclosing group's (comp, tens) per open "("
+    comp = tens = None
+    fault = None  # the first ill-typed ";": its message and token index
+    i = 0
+    while True:
+        token = tokens[i]
+        if token == "(":
+            stack.append((comp, tens))
+            comp = tens = None
+            i += 1
+            continue
+        first = i
+        leaf = _LEAVES.get(token)
+        if leaf is not None:
+            t, n, m = leaf
+            i += 1
+        elif token == "id":
+            n = m = _params(tokens, parts, i + 1, ["[", "]"])[0]
+            t, i = _ID1 if n == 1 else Gen("id", (n,)), i + 4
+        elif token == "E":
+            m, k, n = _params(tokens, parts, i + 1, ["[", ",", ",", "]"])
+            t, i = Gen("E", (m, k, n)), i + 8
+        else:
+            kind = _kind(token)
+            raise TermSyntaxError("unknown generator name" if kind == "a name"
+                                  else f"expected a generator, found {kind}",
+                                  _position(parts, i))
+        # an operand is read: fold it into its group, closing groups
+        while True:
+            if tens is not None:
+                lt, ln, lm, first = tens
+                t, n, m, tens = Tens(lt, t), ln + n, lm + m, None
+            token = tokens[i]
+            if token == "*":
+                tens = t, n, m, first
+                break
+            if comp is not None:
+                lt, ln, lm, lfirst = comp
+                if lm != n and fault is None:
+                    meet = "circle meets" if lm == 1 else "circles meet"
+                    fault = (f"cannot compose {ln}->{lm} with {n}->{m}: "
+                             f"{lm} outgoing {meet} {n} ingoing", first)
+                t, n, first = Comp(lt, t), ln, lfirst
+            if token == ";":
+                comp = t, n, m, first
+                break
+            if not stack:
+                if token:
+                    raise TermSyntaxError(f"trailing input: {_kind(token)}",
+                                          _position(parts, i))
+                if fault is not None:
+                    raise TermArityError(fault[0], _position(parts, fault[1]))
+                return t
+            if token != ")":
+                raise TermSyntaxError(f"expected ')', found {_kind(token)}",
+                                      _position(parts, i))
+            comp, tens = stack.pop()
+            i += 1
+        i += 1
 
 
 def print_term(t: Term) -> str:
@@ -254,7 +269,11 @@ def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
             p = len(chis)
             chis += [0, 0]
             return [p, p + 1], [p + 1, p]
-        m, k, n = t.params if t.name == "E" else _BLOCKS[t.name]
+        if t.name == "E":
+            m, k, n = t.params
+        else:  # mu, eta, delta or eps: connected, of genus 0
+            _, n, m = _LEAVES[t.name]
+            k = 0
         chis.append(2 - 2 * k - n - m)
         return [len(chis) - 1] * n, [len(chis) - 1] * m
     if isinstance(t, (Comp, Tens)):
@@ -282,32 +301,30 @@ def _seq(a: Optional[Term], b: Optional[Term]) -> Optional[Term]:
 def _mu_tree(n: int) -> Optional[Term]:
     # n -> 1 multiplication fold; None stands for the identity on one circle
     if n == 0:
-        return Gen(name="eta")
+        return _ETA
     if n == 1:
         return None
-    t: Term = Gen(name="mu")
+    t: Term = _MU
     for _ in range(n - 2):
-        t = Comp(left=Tens(left=t, right=Gen(name="id", params=(1,))),
-                 right=Gen(name="mu"))
+        t = Comp(left=Tens(left=t, right=_ID1), right=_MU)
     return t
 
 
 def _delta_tree(m: int) -> Optional[Term]:
     if m == 0:
-        return Gen(name="eps")
+        return _EPS
     if m == 1:
         return None
-    t: Term = Gen(name="delta")
+    t: Term = _DELTA
     for _ in range(m - 2):
-        t = Comp(left=Gen(name="delta"),
-                 right=Tens(left=t, right=Gen(name="id", params=(1,))))
+        t = Comp(left=_DELTA, right=Tens(left=t, right=_ID1))
     return t
 
 
 def _handle_word(k: int) -> Optional[Term]:
     t = None
     for _ in range(k):
-        t = _seq(t, Comp(left=Gen(name="delta"), right=Gen(name="mu")))
+        t = _seq(t, Comp(left=_DELTA, right=_MU))
     return t
 
 
@@ -315,11 +332,11 @@ def _block_word(m: int, k: int, n: int) -> Term:
     # the word of E[m,k,n], as tqft.component_matrix builds its matrix:
     # mul^n (eta at n = 0), k handles, then comul^m (eps at m = 0)
     word = _seq(_mu_tree(n), _seq(_handle_word(k), _delta_tree(m)))
-    return Gen(name="id", params=(1,)) if word is None else word
+    return _ID1 if word is None else word
 
 
 def _swap_at(j: int, n: int) -> Term:
-    t: Term = Gen(name="swap")
+    t: Term = _SWAP
     if j > 0:
         t = Tens(left=Gen(name="id", params=(j,)), right=t)
     if j + 2 < n:
@@ -387,8 +404,9 @@ def format_cobordism(K: Cobordism) -> str:
     if word is None:
         word = Gen(name="id", params=(0,))
     text = print_term(word)
-    tokens = len(_TOKEN.findall(text))
-    number = max(map(int, re.findall(r"\d+", text)), default=0)
+    found = _TOKEN.findall(text)
+    tokens = len(found)
+    number = max(map(int, filter(str.isdigit, found)), default=0)
     if tokens > MAX_TOKENS or number > MAX_NUMBER:
         raise ValueError(f"the word has {tokens} tokens and numbers up "
                          f"to {number}; parse takes {MAX_TOKENS} and "

@@ -35,7 +35,6 @@ entry, never the value, whose size is unbounded.
 
 from __future__ import annotations
 
-import json
 import pickle
 import re
 from fractions import Fraction
@@ -192,7 +191,14 @@ class RationalMatrix:
         return {"rows": self.rows, "cols": cols, "entries": entries}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """The JSON form as compact text, written straight from the sorted
+        positions: no list per entry."""
+        nums, cols = self.nums, self.cols
+        text = {n: f'"{format_rational(Fraction(n, self.den))}"]'
+                for n in set(nums.values())}
+        entries = ",".join([f"[{p // cols},{p % cols},{text[nums[p]]}"
+                            for p in sorted(nums)])
+        return f'{{"rows":{self.rows},"cols":{cols},"entries":[{entries}]}}'
 
     @classmethod
     def from_json_obj(cls, obj) -> "RationalMatrix":

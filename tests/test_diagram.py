@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from cobtqft.diagram import (MAX_NUMBER, MAX_TOKENS, Comp, Gen, Tens,
-                             TermArityError, TermSyntaxError, elaborate,
-                             format_cobordism, parse, print_term)
+                             TermArityError, TermError, TermSyntaxError,
+                             elaborate, format_cobordism, parse, print_term)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block,
                              identity, permutation, tensor)
@@ -410,3 +411,230 @@ def test_errors_name_the_token_kind_not_its_text():
             parse(word)
         assert str(err.value) == f"{message} (at position {pos})", word[:20]
 
+
+
+# --- one-pass parsing against the recursive-descent parser ----------------
+# The oracle is the parser that `parse` replaced: a tokenizer that builds
+# one match and one (kind, text, position) tuple per token, and recursive
+# descent that type-checks as it reads.
+
+_ORACLE_TOKEN = re.compile(
+    r"(?P<name>[A-Za-z_]\w*)|(?P<int>\d+)|(?P<sym>[;*()\[\],])"
+    r"|(?P<bad>[^ \t\n\r\f\v])", re.ASCII)
+_ORACLE_KINDS = {"name": "a name", "int": "a number", "sym": "a symbol",
+                 "end": "the end of the input"}
+_ORACLE_BLOCKS = {"mu": (1, 0, 2), "eta": (1, 0, 0), "delta": (2, 0, 1),
+                  "eps": (0, 0, 1)}
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    for m in _ORACLE_TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "bad":
+            raise TermSyntaxError(f"unexpected character {m.group()!r}", pos)
+        if len(tokens) == MAX_TOKENS:
+            raise TermSyntaxError(f"the word has more than {MAX_TOKENS} "
+                                  f"tokens", pos)
+        tokens.append((kind, m.group(), pos))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    """`term`, `tens` and `atom` return a subterm with its ingoing and
+    outgoing arity and the position of its first generator."""
+
+    def __init__(self, text):
+        self.tokens = _oracle_tokenize(text)
+        self.i = 0
+        self.fault = None  # the first ill-typed ";"
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, value):
+        kind, text, pos = self.next()
+        if text != value:
+            raise TermSyntaxError(
+                f"expected {value!r}, found {_ORACLE_KINDS[kind]}", pos)
+
+    def parse_int(self):
+        kind, text, pos = self.next()
+        if kind != "int":
+            raise TermSyntaxError(
+                f"expected a number, found {_ORACLE_KINDS[kind]}", pos)
+        n = MAX_NUMBER + 1 if len(text) > MAX_NUMBER else int(text)
+        if n > MAX_NUMBER:
+            raise TermSyntaxError(f"a number exceeds the limit {MAX_NUMBER}",
+                                  pos)
+        return n
+
+    def term(self):
+        t, n, m, pos = self.tens()
+        while self.peek()[1] == ";":
+            self.next()
+            right, rn, rm, right_pos = self.tens()
+            if m != rn and self.fault is None:
+                meet = "circle meets" if m == 1 else "circles meet"
+                self.fault = TermArityError(
+                    f"cannot compose {n}->{m} with {rn}->{rm}: "
+                    f"{m} outgoing {meet} {rn} ingoing", right_pos)
+            t, m = Comp(t, right), rm
+        return t, n, m, pos
+
+    def tens(self):
+        t, n, m, pos = self.atom()
+        while self.peek()[1] == "*":
+            self.next()
+            right, rn, rm, _ = self.atom()
+            t, n, m = Tens(t, right), n + rn, m + rm
+        return t, n, m, pos
+
+    def atom(self):
+        kind, text, pos = self.next()
+        if text == "(":
+            parsed = self.term()
+            self.expect(")")
+            return parsed
+        if kind != "name":
+            raise TermSyntaxError(
+                f"expected a generator, found {_ORACLE_KINDS[kind]}", pos)
+        if text in _ORACLE_BLOCKS:
+            m, _, n = _ORACLE_BLOCKS[text]
+            return Gen(text), n, m, pos
+        if text == "swap":
+            return Gen(text), 2, 2, pos
+        if text == "id":
+            self.expect("[")
+            n = self.parse_int()
+            self.expect("]")
+            return Gen("id", (n,)), n, n, pos
+        if text == "E":
+            self.expect("[")
+            m = self.parse_int()
+            self.expect(",")
+            k = self.parse_int()
+            self.expect(",")
+            n = self.parse_int()
+            self.expect("]")
+            return Gen("E", (m, k, n)), n, m, pos
+        raise TermSyntaxError("unknown generator name", pos)
+
+
+def _oracle_parse(text):
+    p = _Parser(text)
+    t = p.term()[0]
+    kind, _, pos = p.peek()
+    if kind != "end":
+        raise TermSyntaxError(f"trailing input: {_ORACLE_KINDS[kind]}", pos)
+    if p.fault is not None:
+        raise p.fault
+    return t
+
+
+def _outcome(parser, word):
+    try:
+        return print_term(parser(word))
+    except TermError as err:
+        return type(err).__name__, str(err), err.position
+
+
+# atoms of every arity up to 3 -> 3, with their number of tokens
+_ATOM_TOKENS = {"mu": 1, "eta": 1, "delta": 1, "eps": 1, "swap": 1,
+                "id[0]": 4, "id[1]": 4, "id[2]": 4, "E[1,1,1]": 8,
+                "E[0,2,3]": 8, "E[2,0,0]": 8}
+# what a mutation inserts: generator names, symbols, digits, a number
+# past the limit, a non-ASCII character and whitespace
+_FRAGMENTS = ["mu", "eta", "delta", "eps", "swap", "id", "E", "frob",
+              ";", "*", "(", ")", "[", "]", ",", "0", "1", "2", "7", "65",
+              "٣", " ", "\t", "\n"]
+
+
+def _loose_word(rng, tokens):
+    """Atoms joined by random operators, parenthesized at random, until
+    the word has at least `tokens` tokens; often ill-typed."""
+    parts, count, depth = [], 0, 0
+    while True:
+        if rng.random() < 0.2:
+            parts.append("(")
+            depth += 1
+        atom = rng.choice(list(_ATOM_TOKENS))
+        parts.append(atom)
+        count += _ATOM_TOKENS[atom] + (parts[-2:-1] == ["("])
+        while depth and rng.random() < 0.3:
+            parts.append(")")
+            count, depth = count + 1, depth - 1
+        if count + depth >= tokens:
+            return " ".join(parts + [")"] * depth)
+        parts.append(rng.choice([";", ";", "*"]))
+        count += 1
+
+
+def _mutate(rng, word):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(word))
+        action = rng.random()
+        if action < 0.6:
+            word = word[:at] + rng.choice(_FRAGMENTS) + word[at:]
+        elif action < 0.9:
+            word = word[:at] + word[at + rng.randint(1, 4):]
+        else:
+            word = word[:at]
+    return word
+
+
+def test_parse_agrees_with_the_recursive_descent_parser():
+    rng = random.Random(27)
+    words = []
+    for index in range(2600):
+        if index % 4 == 0:
+            t, _ = _random_term(rng, rng.randint(0, 3), rng.randint(1, 6))
+            word = print_term(t)
+        elif index % 4 == 3:  # around the token limit
+            word = _loose_word(rng, rng.randint(MAX_TOKENS - 8,
+                                                MAX_TOKENS + 2))
+        else:
+            word = _loose_word(rng, rng.randint(1, 60))
+        words.append(word)
+        words += [_mutate(rng, word) for _ in range(3)]
+    assert len(words) >= 10_000
+    errors, parsed = set(), 0
+    for word in words:
+        got = _outcome(parse, word)
+        assert got == _outcome(_oracle_parse, word), word
+        if isinstance(got, str):
+            parsed += 1
+        else:
+            errors.add(got[1])
+    # the words parse, and raise every error that the parser has
+    assert parsed > 1000
+    for message in ("unexpected character '٣'", "the word has more than",
+                    "trailing input", "expected ')'", "expected '['",
+                    "expected ']'", "expected ','", "expected a number",
+                    "expected a generator", "unknown generator name",
+                    "a number exceeds the limit", "cannot compose"):
+        assert any(e.startswith(message) for e in errors), message
+
+def test_huge_words_cost_bounded_work():
+    # each is refused within the first MAX_TOKENS + 1 tokens, with the
+    # message and position of the recursive-descent parser
+    for word, message in (
+            ("mu ; " * 200_000, f"the word has more than {MAX_TOKENS} tokens "
+                                f"(at position 1250)"),
+            ("(" * 10**6, f"the word has more than {MAX_TOKENS} tokens "
+                          f"(at position 500)"),
+            ("mu ; " * 100 + "é" + " mu" * 100_000,
+             "unexpected character 'é' (at position 500)"),
+            # a character past the last token read is never looked at
+            ("mu ; " * 300 + "é", f"the word has more than {MAX_TOKENS} "
+                                  f"tokens (at position 1250)")):
+        with pytest.raises(TermSyntaxError) as err:
+            parse(word)
+        assert str(err.value) == message
+        assert _outcome(_oracle_parse, word)[1] == message

@@ -235,6 +235,18 @@ def test_json_round_trip_and_format():
     assert RationalMatrix.from_json_obj(json.loads(text)) == m
 
 
+
+def test_json_text_is_the_json_form_dumped():
+    # to_json writes its text directly; it must be the compact dump of
+    # the JSON form, on empty, one-entry, negative and fractional matrices
+    for m in (RationalMatrix(0, 0), RationalMatrix(1, 1, {(0, 0): 7}),
+              RationalMatrix(1, 1), RationalMatrix(3, 2, {
+                  (0, 1): -5, (2, 0): -1, (1, 1): 12}),
+              RationalMatrix(2, 3, {(0, 0): F(3, 2), (0, 2): F(-1, 6),
+                                    (1, 0): F(3, 2), (1, 1): F(-7, 4)})):
+        assert m.to_json() == json.dumps(m.to_json_obj(),
+                                         separators=(",", ":"))
+
 def _entry(value):
     return {"rows": 1, "cols": 1, "entries": [[0, 0, value]]}
 
