@@ -21,8 +21,8 @@ MAX_TOKENS tokens, and every number in it is at most MAX_NUMBER.
 `parse` splits a word with one regular expression, stopping after
 MAX_TOKENS + 1 tokens, and reads the tokens in one loop with a stack of
 open parentheses, so it does not recurse; the token limit bounds the
-nesting depth that the recursive elaborator and printer meet.  Error
-messages name a token by its kind and position, never its text.
+nesting depth that the recursive `elaborate` and `print_term` meet.
+Error messages name a token by its kind and position, never its text.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Tens(Term):
 
 
 # the parameterless generators and id[1], one shared node each: a Gen is
-# frozen, so the parser and the word builders below can share them
+# frozen, so every term the parser builds can share them
 _MU, _ETA, _DELTA, _EPS, _SWAP = map(Gen, "mu eta delta eps swap".split())
 _ID1 = Gen("id", (1,))
 
@@ -254,101 +254,125 @@ def elaborate(t: Term) -> Cobordism:
     return surface._glue(chis, ins, outs, seams)
 
 
+# a generator without parameters as a block E[m,k,n]; swap is read apart
+_BLOCKS = {name: (m, 0, n) for name, (_, n, m) in _LEAVES.items()}
+
+
 def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
     """The pieces owning t's free ingoing and outgoing circles, in order.
 
     Appends the Euler characteristic of each of t's pieces to `chis` and
     the pair of pieces joined at each circle that t glues to `seams`.
     """
-    if isinstance(t, Gen):
-        if t.name == "id":  # n cylinders
-            ins = list(range(len(chis), len(chis) + t.params[0]))
-            chis.extend(0 for _ in ins)
-            return ins, ins
-        if t.name == "swap":  # two crossing cylinders
-            p = len(chis)
-            chis += [0, 0]
-            return [p, p + 1], [p + 1, p]
-        if t.name == "E":
-            m, k, n = t.params
-        else:  # mu, eta, delta or eps: connected, of genus 0
-            _, n, m = _LEAVES[t.name]
-            k = 0
-        chis.append(2 - 2 * k - n - m)
-        return [len(chis) - 1] * n, [len(chis) - 1] * m
-    if isinstance(t, (Comp, Tens)):
+    kind = type(t)
+    if kind is Comp or kind is Tens:
         left_ins, left_outs = _pieces(t.left, chis, seams)
         right_ins, right_outs = _pieces(t.right, chis, seams)
-        if isinstance(t, Tens):
+        if kind is Tens:
             return left_ins + right_ins, left_outs + right_outs
-        surface.check_gluable((len(left_ins), len(left_outs)),
-                              (len(right_ins), len(right_outs)))
+        if len(left_outs) != len(right_ins):
+            surface.check_gluable((len(left_ins), len(left_outs)),
+                                  (len(right_ins), len(right_outs)))
         seams.extend(zip(left_outs, right_ins))
         return left_ins, right_outs
-    raise TypeError(f"not a term: {t!r}")
+    if kind is not Gen:
+        raise TypeError(f"not a term: {t!r}")
+    p = len(chis)
+    if t.name == "id":  # n cylinders
+        ins = list(range(p, p + t.params[0]))
+        chis.extend(0 for _ in ins)
+        return ins, ins
+    if t.name == "swap":  # two crossing cylinders
+        chis += [0, 0]
+        return [p, p + 1], [p + 1, p]
+    m, k, n = t.params if t.name == "E" else _BLOCKS[t.name]
+    chis.append(2 - 2 * k - n - m)
+    return [p] * n, [p] * m
 
 
 # --- canonical words -------------------------------------------------------
+# A word is built as (text, tokens, number): the text print_term would
+# print for its term, its token count and its largest number (0 if none).
+# One generator's text holds no space, and a composite's always does.
+_Word = tuple[str, int, int]
 
-def _seq(a: Optional[Term], b: Optional[Term]) -> Optional[Term]:
+_W_MU, _W_ETA, _W_DELTA, _W_EPS, _W_SWAP = (
+    (name, 1, 0) for name in "mu eta delta eps swap".split())
+_W_ID1, _W_HANDLE = ("id[1]", 4, 1), ("delta ; mu", 3, 0)
+
+
+def _join(a: _Word, op: str, b: _Word) -> _Word:
+    """The word ``a op b`` for op ";" (Comp) or "*" (Tens); as in
+    print_term, a side that is not one generator goes in parentheses."""
+    left, left_tokens, left_number = a
+    right, right_tokens, right_number = b
+    if " " in left:
+        left, left_tokens = f"({left})", left_tokens + 2
+    if " " in right:
+        right, right_tokens = f"({right})", right_tokens + 2
+    return (f"{left} {op} {right}", left_tokens + right_tokens + 1,
+            max(left_number, right_number))
+
+
+def _seq(a: Optional[_Word], b: Optional[_Word]) -> Optional[_Word]:
     if a is None:
         return b
     if b is None:
         return a
-    return Comp(left=a, right=b)
+    return _join(a, ";", b)
 
 
-def _mu_tree(n: int) -> Optional[Term]:
+def _mu_tree(n: int) -> Optional[_Word]:
     # n -> 1 multiplication fold; None stands for the identity on one circle
     if n == 0:
-        return _ETA
+        return _W_ETA
     if n == 1:
         return None
-    t: Term = _MU
+    t = _W_MU
     for _ in range(n - 2):
-        t = Comp(left=Tens(left=t, right=_ID1), right=_MU)
+        t = _join(_join(t, "*", _W_ID1), ";", _W_MU)
     return t
 
 
-def _delta_tree(m: int) -> Optional[Term]:
+def _delta_tree(m: int) -> Optional[_Word]:
     if m == 0:
-        return _EPS
+        return _W_EPS
     if m == 1:
         return None
-    t: Term = _DELTA
+    t = _W_DELTA
     for _ in range(m - 2):
-        t = Comp(left=_DELTA, right=Tens(left=t, right=_ID1))
+        t = _join(_W_DELTA, ";", _join(t, "*", _W_ID1))
     return t
 
 
-def _handle_word(k: int) -> Optional[Term]:
-    t = None
+def _handle_word(k: int) -> Optional[_Word]:
+    t: Optional[_Word] = None
     for _ in range(k):
-        t = _seq(t, Comp(left=_DELTA, right=_MU))
+        t = _seq(t, _W_HANDLE)
     return t
 
 
-def _block_word(m: int, k: int, n: int) -> Term:
+def _block_word(m: int, k: int, n: int) -> _Word:
     # the word of E[m,k,n], as tqft.component_matrix builds its matrix:
     # mul^n (eta at n = 0), k handles, then comul^m (eps at m = 0)
     word = _seq(_mu_tree(n), _seq(_handle_word(k), _delta_tree(m)))
-    return _ID1 if word is None else word
+    return _W_ID1 if word is None else word
 
 
-def _swap_at(j: int, n: int) -> Term:
-    t: Term = _SWAP
+def _swap_at(j: int, n: int) -> _Word:
+    t = _W_SWAP
     if j > 0:
-        t = Tens(left=Gen(name="id", params=(j,)), right=t)
+        t = _join((f"id[{j}]", 4, j), "*", t)
     if j + 2 < n:
-        t = Tens(left=t, right=Gen(name="id", params=(n - j - 2,)))
+        t = _join(t, "*", (f"id[{n - j - 2}]", 4, n - j - 2))
     return t
 
 
-def _perm_word(p: list[int]) -> Optional[Term]:
+def _perm_word(p: list[int]) -> Optional[_Word]:
     # word of adjacent transpositions sending input position i to output p[i]
     n = len(p)
     cur = list(range(n))
-    t: Optional[Term] = None
+    t: Optional[_Word] = None
     done = False
     while not done:
         done = True
@@ -372,8 +396,8 @@ def format_cobordism(K: Cobordism) -> str:
     The round trip holds iff the word keeps to the limits of `parse`:
     MAX_TOKENS tokens (eight a handle: genus 30 passes, genus 64 fails)
     and numbers up to MAX_NUMBER (a swap among 67 circles may need
-    id[65]).  Beyond them this raises ValueError naming both limits,
-    before the word is built if it would nest too deep to print.
+    id[65]).  Beyond them this raises ValueError naming both limits; a
+    lower bound on the tokens, taken first, spares building huge words.
     """
     # route the circles to and from the order in which the components,
     # taken in turn, list them
@@ -392,21 +416,16 @@ def format_cobordism(K: Cobordism) -> str:
         raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
                          f"takes {MAX_TOKENS} and {MAX_NUMBER}")
     word = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
-    blocks: Optional[Term] = None
+    blocks: Optional[_Word] = None
     for c in K.components:
         piece = _block_word(len(c.outgoing), c.genus, len(c.ingoing))
-        blocks = piece if blocks is None else Tens(left=blocks, right=piece)
+        blocks = piece if blocks is None else _join(blocks, "*", piece)
     word = _seq(word, blocks)
     word = _seq(word, _perm_word(out_order))
     for g in K.closed_genera:
         piece = _block_word(0, g, 0)
-        word = piece if word is None else Tens(left=word, right=piece)
-    if word is None:
-        word = Gen(name="id", params=(0,))
-    text = print_term(word)
-    found = _TOKEN.findall(text)
-    tokens = len(found)
-    number = max(map(int, filter(str.isdigit, found)), default=0)
+        word = piece if word is None else _join(word, "*", piece)
+    text, tokens, number = word or ("id[0]", 4, 0)
     if tokens > MAX_TOKENS or number > MAX_NUMBER:
         raise ValueError(f"the word has {tokens} tokens and numbers up "
                          f"to {number}; parse takes {MAX_TOKENS} and "

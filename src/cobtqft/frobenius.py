@@ -275,10 +275,14 @@ def verify_frobenius(a: FrobeniusAlgebra) -> AxiomReport:
         ("right counit", mat_mul(kron(one, counit), comul) == one),
         ("coassociativity",
          mat_mul(kron(comul, one), comul) == mat_mul(kron(one, comul), comul)),
+    )
+    # both Frobenius identities' right side, made after the checks above
+    frobenius = mat_mul(comul, mul)
+    results += (
         ("frobenius left",
-         mat_mul(kron(one, mul), kron(comul, one)) == mat_mul(comul, mul)),
+         mat_mul(kron(one, mul), kron(comul, one)) == frobenius),
         ("frobenius right",
-         mat_mul(kron(mul, one), kron(one, comul)) == mat_mul(comul, mul)),
+         mat_mul(kron(mul, one), kron(one, comul)) == frobenius),
     )
     return AxiomReport(results)
 

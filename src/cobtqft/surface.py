@@ -252,26 +252,28 @@ def _glue(chis: Sequence[int], ins: Sequence[int], outs: Sequence[int],
     ``outs[j]``; each seam (p, q) joins pieces p and q along one circle.
     The pieces joined by seams merge into one component whose
     characteristic is their sum, and a merged class without a free
-    circle is a closed piece.
+    circle is a closed piece.  Union-find with path halving merges the
+    seams; the pass that sums the characteristics then points every
+    piece straight at its root.
     """
     parent = list(range(len(chis)))
-
-    def find(p: int) -> int:  # with path halving
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
     for p, q in seams:
-        parent[find(p)] = find(q)
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        parent[p] = q
     chi: dict[int, int] = {}
     for p, c in enumerate(chis):
-        r = find(p)
+        r = parent[p]
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[p] = r
         chi[r] = chi.get(r, 0) + c
     free: dict[int, tuple[list[int], list[int]]] = {}
     for side, owner in enumerate((ins, outs)):
         for circle, p in enumerate(owner):
-            free.setdefault(find(p), ([], []))[side].append(circle)
+            free.setdefault(parent[p], ([], []))[side].append(circle)
 
     components = []
     closed = []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -638,3 +639,139 @@ def test_huge_words_cost_bounded_work():
             parse(word)
         assert str(err.value) == message
         assert _outcome(_oracle_parse, word)[1] == message
+
+
+# --- the canonical words as Term trees, printed by print_term ---------------
+# format_cobordism's words built as terms and printed by print_term, with
+# its bounds and messages: the oracle of the test below
+
+_ID1 = Gen(name="id", params=(1,))
+
+
+def _oracle_seq(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return Comp(left=a, right=b)
+
+
+def _oracle_mu_tree(n):
+    if n == 0:
+        return Gen(name="eta")
+    if n == 1:
+        return None
+    t = Gen(name="mu")
+    for _ in range(n - 2):
+        t = Comp(left=Tens(left=t, right=_ID1), right=Gen(name="mu"))
+    return t
+
+
+def _oracle_delta_tree(m):
+    if m == 0:
+        return Gen(name="eps")
+    if m == 1:
+        return None
+    t = Gen(name="delta")
+    for _ in range(m - 2):
+        t = Comp(left=Gen(name="delta"), right=Tens(left=t, right=_ID1))
+    return t
+
+
+def _oracle_block_word(m, k, n):
+    handles = None
+    for _ in range(k):
+        handles = _oracle_seq(handles, Comp(left=Gen(name="delta"),
+                                            right=Gen(name="mu")))
+    word = _oracle_seq(_oracle_mu_tree(n),
+                       _oracle_seq(handles, _oracle_delta_tree(m)))
+    return _ID1 if word is None else word
+
+
+def _oracle_swap_at(j, n):
+    t = Gen(name="swap")
+    if j > 0:
+        t = Tens(left=Gen(name="id", params=(j,)), right=t)
+    if j + 2 < n:
+        t = Tens(left=t, right=Gen(name="id", params=(n - j - 2,)))
+    return t
+
+
+def _oracle_perm_word(p):
+    n = len(p)
+    cur = list(range(n))
+    t = None
+    done = False
+    while not done:
+        done = True
+        for j in range(n - 1):
+            if p[cur[j]] > p[cur[j + 1]]:
+                cur[j], cur[j + 1] = cur[j + 1], cur[j]
+                t = _oracle_seq(t, _oracle_swap_at(j, n))
+                done = False
+    return t
+
+
+def _oracle_format(K):
+    in_order = [i for c in K.components for i in c.ingoing]
+    out_order = [j for c in K.components for j in c.outgoing]
+    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
+            for c in K.components)
+    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
+    for order in (in_order, out_order):
+        if n <= MAX_TOKENS // 2:
+            n += sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    if 2 * n - 1 > MAX_TOKENS:
+        raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
+                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
+    word = _oracle_perm_word(sorted(range(K.n_in),
+                                    key=in_order.__getitem__))
+    blocks = None
+    for c in K.components:
+        piece = _oracle_block_word(len(c.outgoing), c.genus, len(c.ingoing))
+        blocks = piece if blocks is None else Tens(left=blocks, right=piece)
+    word = _oracle_seq(word, blocks)
+    word = _oracle_seq(word, _oracle_perm_word(out_order))
+    for g in K.closed_genera:
+        piece = _oracle_block_word(0, g, 0)
+        word = piece if word is None else Tens(left=word, right=piece)
+    if word is None:
+        word = Gen(name="id", params=(0,))
+    text = print_term(word)
+    found = re.findall(r"[A-Za-z_]\w*|\d+|[;*()\[\],]", text)
+    number = max(map(int, filter(str.isdigit, found)), default=0)
+    if len(found) > MAX_TOKENS or number > MAX_NUMBER:
+        raise ValueError(f"the word has {len(found)} tokens and numbers up "
+                         f"to {number}; parse takes {MAX_TOKENS} and "
+                         f"{MAX_NUMBER}")
+    return text
+
+
+def test_format_writes_the_words_that_print_term_prints():
+    def outcome(format_, K):
+        try:
+            return format_(K)
+        except ValueError as refused:
+            return ("refused", str(refused))
+
+    scanned = list(enumerate_cobordisms(ScanBounds(2, 2, 1, 3)))
+    assert len(scanned) == 2330
+    words = [format_cobordism(K) for K in scanned]
+    assert words == [_oracle_format(K) for K in scanned]
+    digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+    assert digest == ("cefadf0ab3781c2f6cd72029a3238eed"
+                      "9553b229f8a2ef6e5ce12114c2697082")
+    # near and past both limits, refused early, late or not at all
+    cases = [permutation(tuple(reversed(range(n)))) for n in range(2, 22)]
+    cases += [e_block(1, k, 1) for k in range(65)]
+    cases += [e_block(1, 0, n) for n in range(129)]
+    cases += [e_block(n, 0, 1) for n in range(129)]
+    cases += [permutation((1, 0, *range(2, n))) for n in (66, 67)]
+    cases += [identity(250), identity(600), Cobordism(0, 0, (), [0] * 250),
+              Cobordism(0, 0, (), [0] * 600)]
+    outcomes = [outcome(format_cobordism, K) for K in cases]
+    assert outcomes == [outcome(_oracle_format, K) for K in cases]
+    refusals = [got[1] for got in outcomes if isinstance(got, tuple)]
+    # 4 refused before the word is built, 177 after it
+    assert sum("at least" in refused for refused in refusals) == 4
+    assert sum("numbers up to" in refused for refused in refusals) == 177

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -80,6 +81,30 @@ def test_glue_refuses_a_piece_of_impossible_characteristic():
         with pytest.raises(RuntimeError, match="Euler characteristic"):
             surface._glue(chis, ins, [], [])
     assert surface._glue([0, 0], [0], [1], [(0, 1)]) == identity(1)
+
+
+def test_glue_resolves_deep_chains_of_seams():
+    # 2 000 cylinders end to end: piece i's outgoing circle meets piece
+    # i + 1's ingoing one.  Listed forward, union-find first builds one
+    # chain 2 000 pieces deep; a piece left off its root would read as a
+    # closed torus, or leave a free circle on a piece of its own
+    n = 2000
+    seams = [(i, i + 1) for i in range(n - 1)]
+    chain = functools.reduce(compose, [identity(1)] * n)
+    # the chain closed into a loop by a bent tube, 0 -> 2 and 2 -> 0
+    loop = compose(compose(e_block(2, 0, 0), tensor(chain, identity(1))),
+                   e_block(0, 0, 2))
+    assert chain == identity(1) and loop == Cobordism(0, 0, (), [1])
+    # forward, backward, interleaved, and alternately from both ends;
+    # each seam also with its two pieces swapped
+    orders = (seams, seams[::-1], seams[::2] + seams[1::2],
+              [seams[i // 2] if i % 2 else seams[-1 - i // 2]
+               for i in range(n - 1)])
+    for order in orders:
+        for listed in (order, [(q, p) for p, q in order]):
+            assert surface._glue([0] * n, [0], [n - 1], listed) == chain
+            assert surface._glue([0] * n, [], [],
+                                 listed + [(n - 1, 0)]) == loop
 
 
 def _reference_tensor(first: Cobordism, second: Cobordism) -> Cobordism:
