@@ -254,10 +254,6 @@ def elaborate(t: Term) -> Cobordism:
     return surface._glue(chis, ins, outs, seams)
 
 
-# a generator without parameters as a block E[m,k,n]; swap is read apart
-_BLOCKS = {name: (m, 0, n) for name, (_, n, m) in _LEAVES.items()}
-
-
 def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
     """The pieces owning t's free ingoing and outgoing circles, in order.
 
@@ -285,7 +281,10 @@ def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
     if t.name == "swap":  # two crossing cylinders
         chis += [0, 0]
         return [p, p + 1], [p + 1, p]
-    m, k, n = t.params if t.name == "E" else _BLOCKS[t.name]
+    if t.name == "E":
+        m, k, n = t.params
+    else:  # a genus-0 block, with the arities that parse reads
+        (_, n, m), k = _LEAVES[t.name], 0
     chis.append(2 - 2 * k - n - m)
     return [p] * n, [p] * m
 
@@ -294,6 +293,7 @@ def _pieces(t: Term, chis: list[int], seams: list[tuple[int, int]]):
 # A word is built as (text, tokens, number): the text print_term would
 # print for its term, its token count and its largest number (0 if none).
 # One generator's text holds no space, and a composite's always does.
+# None stands for an identity; `_fold` is the one join of a sequence.
 _Word = tuple[str, int, int]
 
 _W_MU, _W_ETA, _W_DELTA, _W_EPS, _W_SWAP = (
@@ -314,12 +314,14 @@ def _join(a: _Word, op: str, b: _Word) -> _Word:
             max(left_number, right_number))
 
 
-def _seq(a: Optional[_Word], b: Optional[_Word]) -> Optional[_Word]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return _join(a, ";", b)
+def _fold(op: str, words) -> Optional[_Word]:
+    """The words that are not None, joined by op from the left; None
+    when there are none."""
+    t: Optional[_Word] = None
+    for word in words:
+        if word is not None:
+            t = word if t is None else _join(t, op, word)
+    return t
 
 
 def _mu_tree(n: int) -> Optional[_Word]:
@@ -345,43 +347,28 @@ def _delta_tree(m: int) -> Optional[_Word]:
     return t
 
 
-def _handle_word(k: int) -> Optional[_Word]:
-    t: Optional[_Word] = None
-    for _ in range(k):
-        t = _seq(t, _W_HANDLE)
-    return t
-
-
 def _block_word(m: int, k: int, n: int) -> _Word:
     # the word of E[m,k,n], as tqft.component_matrix builds its matrix:
-    # mul^n (eta at n = 0), k handles, then comul^m (eps at m = 0)
-    word = _seq(_mu_tree(n), _seq(_handle_word(k), _delta_tree(m)))
+    # mul^n (eta at n = 0), k handles, then comul^m (eps at m = 0),
+    # joined as mul^n ; (handles ; comul^m)
+    right = _fold(";", [_W_HANDLE] * k + [_delta_tree(m)])
+    word = _fold(";", (_mu_tree(n), right))
     return _W_ID1 if word is None else word
 
 
-def _swap_at(j: int, n: int) -> _Word:
-    t = _W_SWAP
-    if j > 0:
-        t = _join((f"id[{j}]", 4, j), "*", t)
-    if j + 2 < n:
-        t = _join(t, "*", (f"id[{n - j - 2}]", 4, n - j - 2))
-    return t
-
-
 def _perm_word(p: list[int]) -> Optional[_Word]:
-    # word of adjacent transpositions sending input position i to output p[i]
+    # word of adjacent transpositions sending input position i to output
+    # p[i]: a bubble sort of n - 1 passes, each one position shorter
     n = len(p)
     cur = list(range(n))
-    t: Optional[_Word] = None
-    done = False
-    while not done:
-        done = True
-        for j in range(n - 1):
+    ids = [None] + [(f"id[{i}]", 4, i) for i in range(1, n)]  # id[0]: None
+    swaps = []
+    for end in range(n - 1, 0, -1):
+        for j in range(end):
             if p[cur[j]] > p[cur[j + 1]]:
                 cur[j], cur[j + 1] = cur[j + 1], cur[j]
-                t = _seq(t, _swap_at(j, n))
-                done = False
-    return t
+                swaps.append(_fold("*", (ids[j], _W_SWAP, ids[n - j - 2])))
+    return _fold(";", swaps)
 
 
 def format_cobordism(K: Cobordism) -> str:
@@ -415,17 +402,12 @@ def format_cobordism(K: Cobordism) -> str:
     if 2 * n - 1 > MAX_TOKENS:
         raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
                          f"takes {MAX_TOKENS} and {MAX_NUMBER}")
-    word = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
-    blocks: Optional[_Word] = None
-    for c in K.components:
-        piece = _block_word(len(c.outgoing), c.genus, len(c.ingoing))
-        blocks = piece if blocks is None else _join(blocks, "*", piece)
-    word = _seq(word, blocks)
-    word = _seq(word, _perm_word(out_order))
-    for g in K.closed_genera:
-        piece = _block_word(0, g, 0)
-        word = piece if word is None else _join(word, "*", piece)
-    text, tokens, number = word or ("id[0]", 4, 0)
+    blocks = [_block_word(len(c.outgoing), c.genus, len(c.ingoing))
+              for c in K.components]
+    ins = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))
+    word = _fold(";", (ins, _fold("*", blocks), _perm_word(out_order)))
+    closed = [_block_word(0, g, 0) for g in K.closed_genera]
+    text, tokens, number = _fold("*", [word, *closed]) or ("id[0]", 4, 0)
     if tokens > MAX_TOKENS or number > MAX_NUMBER:
         raise ValueError(f"the word has {tokens} tokens and numbers up "
                          f"to {number}; parse takes {MAX_TOKENS} and "

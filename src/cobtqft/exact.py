@@ -23,7 +23,8 @@ There is no floating point anywhere in this package.
 
 JSON form: ``{"rows": R, "cols": C, "entries": [[r, c, "p/q"], ...]}``
 with entries sorted row-major and ``/q`` omitted when the denominator
-is 1.  A value is read only in that form, ``-?[0-9]+(/[0-9]+)?`` with
+is 1.  ``to_json`` is its one printer; ``to_json_obj`` reads that text
+back.  A value is read only in that form, ``-?[0-9]+(/[0-9]+)?`` with
 ``q`` nonzero; a position may appear once.  Reading (:func:`read_int`)
 and printing (:func:`format_rational`) both refuse a ``p`` or ``q`` of
 more than MAX_VALUE_DIGITS digits, so whatever is printed reads back;
@@ -35,6 +36,7 @@ entry, never the value, whose size is unbounded.
 
 from __future__ import annotations
 
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -183,16 +185,13 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.nums)} nonzero)"
 
     def to_json_obj(self) -> dict:
-        """The JSON form; one string is formatted per distinct numerator."""
-        nums, cols = self.nums, self.cols
-        text = {n: format_rational(Fraction(n, self.den))
-                for n in set(nums.values())}
-        entries = [[p // cols, p % cols, text[nums[p]]] for p in sorted(nums)]
-        return {"rows": self.rows, "cols": cols, "entries": entries}
+        """The JSON form as an object, read back from `to_json`, the one
+        printer of the form."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """The JSON form as compact text, written straight from the sorted
-        positions: no list per entry."""
+        positions, one string formatted per distinct numerator."""
         nums, cols = self.nums, self.cols
         text = {n: f'"{format_rational(Fraction(n, self.den))}"]'
                 for n in set(nums.values())}

@@ -93,6 +93,8 @@ class Cobordism:
             if not (c.ingoing or c.outgoing):
                 raise ValueError("component with no boundary circles (closed "
                                  "pieces live in closed_genera)")
+            if type(c.genus) is not int:
+                raise ValueError("a component has a genus that is not an int")
             if c.genus < 0:
                 raise ValueError("a component has a negative genus")
             pieces.append(Component(tuple(sorted(c.ingoing)),
@@ -101,7 +103,10 @@ class Cobordism:
             raise ValueError("negative arity")
         comps = tuple(sorted(pieces, key=lambda c: c.ingoing[0]
                              if c.ingoing else n_in + c.outgoing[0]))
-        closed = tuple(sorted(closed_genera, reverse=True))
+        closed = tuple(closed_genera)
+        if any(type(g) is not int for g in closed):
+            raise ValueError("a closed genus is not an int")
+        closed = tuple(sorted(closed, reverse=True))
         owners = [-1] * (n_in + n_out)
         for idx, c in enumerate(comps):
             for i in c.ingoing:

@@ -76,7 +76,7 @@ def ensure_verified(a: FrobeniusAlgebra) -> AxiomReport:
     return report
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMatrix:
     """Matrix of the connected block E[m,k,n] = comul^m ∘ handle^k ∘ mul^n
     with n ingoing, m outgoing circles and genus k.
@@ -85,8 +85,11 @@ def component_matrix(a: FrobeniusAlgebra, m: int, k: int, n: int) -> RationalMat
     counit at m = 0) are each built from the next smaller one, and
     handle^k = E[1,k,1] from its two halves, so building it recurses
     about log2(k) deep; any other block is E[m,0,1] ∘ (E[1,k,1] ∘
-    E[1,0,n]).  A negative argument raises ValueError.
+    E[1,0,n]).  An argument that is not an int, or is negative, raises
+    ValueError; the cache tells 1 from True and 1.0.
     """
+    if {type(m), type(k), type(n)} != {int}:
+        raise ValueError("a block's genus and circle counts must be ints")
     if min(m, k, n) < 0:
         raise ValueError("no block has a negative genus or circle count")
     one = RationalMatrix.identity(a.dim)

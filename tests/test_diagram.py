@@ -747,6 +747,20 @@ def _oracle_format(K):
     return text
 
 
+def _random_cobordism(rng):
+    """A cobordism with up to 6 circles per side, each piece of genus at
+    most 3, and up to 2 closed pieces."""
+    n_in, n_out = rng.randint(0, 6), rng.randint(0, 6)
+    pieces = {}
+    for side, n in ((0, n_in), (1, n_out)):
+        for circle in range(n):
+            pieces.setdefault(rng.randrange(n_in + n_out), ([], []))[
+                side].append(circle)
+    return Cobordism(n_in, n_out, [component(ins, outs, rng.randint(0, 3))
+                                   for ins, outs in pieces.values()],
+                     [rng.randint(0, 3) for _ in range(rng.randint(0, 2))])
+
+
 def test_format_writes_the_words_that_print_term_prints():
     def outcome(format_, K):
         try:
@@ -775,3 +789,19 @@ def test_format_writes_the_words_that_print_term_prints():
     # 4 refused before the word is built, 177 after it
     assert sum("at least" in refused for refused in refusals) == 4
     assert sum("numbers up to" in refused for refused in refusals) == 177
+    # general permutations and cobordisms, seeded: 445 of the 2000
+    # permutations round-trip, and 1555 are refused, 544 of them early;
+    # every one of the 2000 cobordisms round-trips
+    rng = random.Random(29)
+    cases = [permutation(rng.sample(range(n), n))
+             for n in rng.choices(range(3, 41), k=2000)]
+    cases += [_random_cobordism(rng) for _ in range(2000)]
+    outcomes = [outcome(format_cobordism, K) for K in cases]
+    assert outcomes == [outcome(_oracle_format, K) for K in cases]
+    assert all(elaborate(parse(got)) == K for K, got in zip(cases, outcomes)
+               if not isinstance(got, tuple))
+    refusals = [got[1] if isinstance(got, tuple) else None
+                for got in outcomes]
+    assert refusals[2000:] == [None] * 2000
+    assert sum(refused is not None for refused in refusals) == 1555
+    assert sum("at least" in (refused or "") for refused in refusals) == 544

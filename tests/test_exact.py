@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobtqft.exact import (MAX_VALUE_DIGITS, RationalMatrix, kron, mat_mul,
-                           swap_matrix)
+from cobtqft.exact import (MAX_VALUE_DIGITS, RationalMatrix, format_rational,
+                           kron, mat_mul, swap_matrix)
 from cobtqft.frobenius import faithful_algebra, qz5, zqs3
 from cobtqft.surface import e_block
 from cobtqft.tqft import evaluate
@@ -236,16 +236,28 @@ def test_json_round_trip_and_format():
 
 
 
+def _oracle_json_obj(m):
+    """The JSON form built as an object, one entry list at a time."""
+    nums, cols = m.nums, m.cols
+    text = {n: format_rational(F(n, m.den)) for n in set(nums.values())}
+    entries = [[p // cols, p % cols, text[nums[p]]] for p in sorted(nums)]
+    return {"rows": m.rows, "cols": cols, "entries": entries}
+
+
 def test_json_text_is_the_json_form_dumped():
-    # to_json writes its text directly; it must be the compact dump of
-    # the JSON form, on empty, one-entry, negative and fractional matrices
+    # to_json writes its text directly and to_json_obj reads it back;
+    # both must agree with the form built as an object, on empty,
+    # one-entry, negative, fractional and evaluated matrices
     for m in (RationalMatrix(0, 0), RationalMatrix(1, 1, {(0, 0): 7}),
               RationalMatrix(1, 1), RationalMatrix(3, 2, {
                   (0, 1): -5, (2, 0): -1, (1, 1): 12}),
               RationalMatrix(2, 3, {(0, 0): F(3, 2), (0, 2): F(-1, 6),
-                                    (1, 0): F(3, 2), (1, 1): F(-7, 4)})):
-        assert m.to_json() == json.dumps(m.to_json_obj(),
-                                         separators=(",", ":"))
+                                    (1, 0): F(3, 2), (1, 1): F(-7, 4)}),
+              evaluate(faithful_algebra(), e_block(2, 1, 2)).matrix):
+        oracle = _oracle_json_obj(m)
+        assert m.to_json_obj() == oracle
+        assert m.to_json() == json.dumps(oracle, separators=(",", ":"))
+
 
 def _entry(value):
     return {"rows": 1, "cols": 1, "entries": [[0, 0, value]]}

@@ -136,6 +136,21 @@ def test_structure_map_json_is_pinned(name):
     assert digests == expected
 
 
+ALGEBRA_JSON_DIGESTS = {
+    "qz5": "484e2afbef539bfbb59e75bbe0671381914dd4d203db5543230437b481f69331",
+    "zqs3": "2947e45a26e4c9e022a23b2573c2c3c13cd4e1caed8a1c210e8f54ec0c12d048",
+    "A": "cfb5cfe1038a04c8fd8c061c3f92240b1f7a99baf7e1625e9ad9c6dff0362c69",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_JSON_DIGESTS))
+def test_algebra_json_is_pinned(name):
+    # the whole algebra's text, around the structure maps pinned above
+    text = load_algebra(name).to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == ALGEBRA_JSON_DIGESTS[name]
+
+
 def _pairing_copairing(a):
     """β = counit∘mul (1 x d²) and γ = comul∘unit = Δ(1) (d² x 1)."""
     return mat_mul(a.counit, a.mul), mat_mul(a.comul, a.unit)

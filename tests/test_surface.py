@@ -266,6 +266,21 @@ def test_json_round_trip():
     assert Cobordism.from_json_obj(K.to_json_obj()) == K
 
 
+def test_a_genus_that_is_not_an_int_is_refused():
+    # as a label is: 1.0 and True are refused too, though they equal 1
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="a component has a genus that "
+                                             "is not an int"):
+            Cobordism(1, 1, [component([0], [0], bad)])
+        for closed in ([bad], [2, bad], [bad, 0, 1]):
+            with pytest.raises(ValueError, match="a closed genus is not "
+                                                 "an int"):
+                Cobordism(0, 0, (), closed)
+    # the negative-value messages stay as they were
+    with pytest.raises(ValueError, match="^negative closed genus$"):
+        Cobordism(0, 0, (), [1, -1])
+
+
 def test_negative_arity_is_rejected():
     with pytest.raises(ValueError, match="negative arity"):
         Cobordism(-1, 0)

@@ -153,6 +153,17 @@ def test_component_matrix_refuses_negative_arguments():
             component_matrix(z, m, k, n)
 
 
+def test_component_matrix_refuses_arguments_that_are_not_ints():
+    A = faithful_algebra()
+    assert closed_invariant(A, 1) == 15  # cached under the int 1
+    for bad in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="must be ints"):
+            closed_invariant(A, bad)
+        for m, k, n in ((bad, 0, 1), (1, bad, 1), (1, 0, bad)):
+            with pytest.raises(ValueError, match="must be ints"):
+                component_matrix(A, m, k, n)
+
+
 def test_closed_invariant_matches_full_evaluation_through_genus_8():
     A = faithful_algebra()
     z = zqs3()
