@@ -371,6 +371,27 @@ def _perm_word(p: list[int]) -> Optional[_Word]:
     return _fold(";", swaps)
 
 
+def _min_tokens(K: Cobordism) -> int:
+    """A lower bound on the tokens of the word of K, taken without
+    building it.
+
+    n generators take 2n - 1 tokens or more with their separators.  A
+    block has max(1, 2 * (circles + genus) - 6) generators or more, and
+    once that bounds the circles, each adjacent swap adds one.  On a
+    side of 3 or more circles it adds two, as an id[j] with j >= 1
+    stands beside it.
+    """
+    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
+            for c in K.components)
+    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
+    for order in ([i for c in K.components for i in c.ingoing],
+                  [j for c in K.components for j in c.outgoing]):
+        if n <= MAX_TOKENS // 2:
+            n += (1 + (len(order) >= 3)) * sum(
+                a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return 2 * n - 1
+
+
 def format_cobordism(K: Cobordism) -> str:
     """A canonical generator word with elaborate(parse(word)) == K.
 
@@ -386,22 +407,14 @@ def format_cobordism(K: Cobordism) -> str:
     id[65]).  Beyond them this raises ValueError naming both limits; a
     lower bound on the tokens, taken first, spares building huge words.
     """
+    floor = _min_tokens(K)
+    if floor > MAX_TOKENS:
+        raise ValueError(f"the word has at least {floor} tokens; parse "
+                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
     # route the circles to and from the order in which the components,
     # taken in turn, list them
     in_order = [i for c in K.components for i in c.ingoing]
     out_order = [j for c in K.components for j in c.outgoing]
-    # n generators take 2n - 1 tokens or more with their separators; a
-    # block has max(1, 2 * (circles + genus) - 6) generators or more,
-    # and once that bounds the circles, each adjacent swap adds one
-    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
-            for c in K.components)
-    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
-    for order in (in_order, out_order):
-        if n <= MAX_TOKENS // 2:
-            n += sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    if 2 * n - 1 > MAX_TOKENS:
-        raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
-                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
     blocks = [_block_word(len(c.outgoing), c.genus, len(c.ingoing))
               for c in K.components]
     ins = _perm_word(sorted(range(K.n_in), key=in_order.__getitem__))

@@ -15,7 +15,8 @@ independent routes:
   close-off moves into one context.  No gluing is computed: Euler
   characteristics add along a circle, so a genus-g disk (1 - 2g) on a
   genus-h piece (2 - 2h - b) adds g to its genus, and caps on distinct
-  circles never join two pieces.
+  circles never join two pieces.  Each cobordism has one separation
+  record, which keeps the closing contexts built for it by int key.
 
 The invariant product separates genus multisets because each closed
 genus-k surface contributes 5·(3/2)^(k-1)·(2^(2k-1)+1): the power of 5
@@ -156,13 +157,16 @@ def lemma4_injectivity(max_size: int, max_genus: int) -> InjectivityReport:
 # --- the separating context pipeline ---------------------------------------
 
 @lru_cache(maxsize=None)
-def _label_data(K: Cobordism) -> tuple[tuple[int, ...], int, int]:
-    """The genus of the component of each boundary label of K (see
-    :mod:`cobtqft.surface`), the largest genus of K, and K's boundary
-    partition as a mask: with n labels, bit ``x * n + y`` is set when
-    labels x < y lie on one component of K.  Bits in ascending order
-    are label pairs in ``itertools.combinations(range(n), 2)`` order,
-    and ``divmod(bit, n)`` gives the pair back."""
+def _label_data(K: Cobordism) -> tuple[tuple[int, ...], int, int,
+                                       dict[int, GenusMultiset]]:
+    """K's separation record: the genus of the component of each boundary
+    label of K (see :mod:`cobtqft.surface`), the largest genus of K, K's
+    boundary partition as a mask, and the one cache of K's closing
+    contexts, a dict that :func:`separating_closure` fills by key.
+    With n labels, bit ``x * n + y`` of the mask is set when labels
+    x < y lie on one component of K.  Bits in ascending order are label
+    pairs in ``itertools.combinations(range(n), 2)`` order, and
+    ``divmod(bit, n)`` gives the pair back."""
     owners = K.owners
     n = len(owners)
     mask = 0
@@ -170,10 +174,9 @@ def _label_data(K: Cobordism) -> tuple[tuple[int, ...], int, int]:
         if owners[x] == owners[y]:
             mask |= 1 << (x * n + y)
     return (tuple(K.components[idx].genus for idx in owners),
-            K.max_genus(), mask)
+            K.max_genus(), mask, {})
 
 
-@lru_cache(maxsize=None)
 def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
     """Cap each label x of K with a disk of genus ``caps[x]`` and return
     the closed genera: each piece adds its caps' genera to its own."""
@@ -181,6 +184,18 @@ def _closing_context(K: Cobordism, caps: tuple[int, ...]) -> GenusMultiset:
     for x, idx in enumerate(K.owners):
         genera[idx] += caps[x]
     return genus_multiset(genera + list(K.closed_genera))
+
+
+def _caps(key: int, n: int) -> tuple[int, ...]:
+    """The cap genera on n labels that a context key names."""
+    a, rest = divmod(key, n * n + n + 1)
+    caps = [0] * n
+    if rest > n:
+        x, y = divmod(rest - 1 - n, n)
+        caps[x] = caps[y] = a
+    elif rest:
+        caps[rest - 1] = 2 * a
+    return tuple(caps)
 
 
 def separating_closure(K: Cobordism, L: Cobordism
@@ -212,6 +227,13 @@ def separating_closure(K: Cobordism, L: Cobordism
     is the ``itertools.combinations`` order.  Only in (a) can K equal L,
     so ``K == L`` is tested only there.
 
+    With n labels and ``R = n*n + n + 1``, one int key names the
+    context: 0 in (a), ``a * R + 1 + x`` in (b) for label x, and
+    ``a * R + 1 + n + bit`` in (c) for the pair at mask bit ``bit``.
+    As ``1 + n + bit < R``, it gives a and the caps back for any genus.
+    Both contexts are read by key from the records of :func:`_label_data`
+    and built only when missing there.
+
     This is the paper's context (a disk filling each other circle, a
     stretch, and a closure with two genus-a caps) collapsed into one
     cobordism; ``tests/test_faithfulness.py`` glues it for real.  In (b)
@@ -222,21 +244,25 @@ def separating_closure(K: Cobordism, L: Cobordism
     if K.n_in != L.n_in or K.n_out != L.n_out:
         raise ValueError(f"arity mismatch: {K.n_in}->{K.n_out} vs "
                          f"{L.n_in}->{L.n_out}")
-    gk, max_k, mask_k = _label_data(K)
-    gl, max_l, mask_l = _label_data(L)
-    a = 1 + max(max_k, max_l)
-    caps = [0] * len(gk)
+    gk, max_k, mask_k, built_k = _label_data(K)
+    gl, max_l, mask_l, built_l = _label_data(L)
+    n = len(gk)
+    a = 1 + (max_k if max_k > max_l else max_l)
+    base = a * (n * n + n + 1)  # a * R
     differ = mask_k ^ mask_l
-    if differ:
-        x, y = divmod((differ & -differ).bit_length() - 1, len(gk))
-        caps[x] = caps[y] = a
+    key = 0
+    if differ:  # 1 + n + bit, for the lowest differing bit
+        key = base + n + (differ & -differ).bit_length()
     elif gk != gl:
-        caps[next(x for x, g in enumerate(gk) if g != gl[x])] = 2 * a
+        key = base + 1 + next(x for x, g in enumerate(gk) if g != gl[x])
     elif K == L:
         raise ValueError("the cobordisms are equal; nothing separates them")
-    caps = tuple(caps)
-    ms_k = _closing_context(K, caps)
-    ms_l = _closing_context(L, caps)
+    ms_k = built_k.get(key)
+    if ms_k is None:
+        ms_k = built_k[key] = _closing_context(K, _caps(key, n))
+    ms_l = built_l.get(key)
+    if ms_l is None:
+        ms_l = built_l[key] = _closing_context(L, _caps(key, n))
     if ms_k == ms_l:
         raise RuntimeError(f"the closing context leaves equal closed genera "
                            f"{ms_k.genera} for {K!r} and {L!r}")

@@ -3,10 +3,12 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobtqft.diagram import (MAX_NUMBER, MAX_TOKENS, Comp, Gen, Tens,
                              TermArityError, TermError, TermSyntaxError,
-                             elaborate, format_cobordism, parse, print_term)
+                             _min_tokens, elaborate, format_cobordism, parse,
+                             print_term)
 from cobtqft.faithfulness import ScanBounds, enumerate_cobordisms
 from cobtqft.surface import (Cobordism, component, compose, e_block,
                              identity, permutation, tensor)
@@ -319,21 +321,26 @@ def test_format_refuses_a_word_that_parse_would_reject():
 
 def test_format_refuses_early_only_words_nested_too_deep():
     # the count made before building never passes the word's own: a word
-    # that is built keeps its exact count, even far past the limit, and
-    # the deepest words the count admits still print
+    # refused early is too long when built, a word that is built keeps
+    # its exact count, even far past the limit, and the deepest words
+    # the count admits still print
     cases = list(enumerate_cobordisms(ScanBounds(2, 1, 1, 1)))
     cases += [permutation(tuple(reversed(range(n)))) for n in range(2, 22)]
     cases += [e_block(1, 0, 127), e_block(127, 0, 1), e_block(1, 125, 1),
               e_block(0, 128, 0), identity(250),
               Cobordism(0, 0, (), [0] * 250)]
-    refused_after_building = 0
+    refused_early = refused_after_building = 0
     for K in cases:
         try:
             assert elaborate(parse(format_cobordism(K))) == K
         except ValueError as refused:
-            assert "at least" not in str(refused), K
-            refused_after_building += 1
-    assert refused_after_building == 19
+            if "at least" in str(refused):
+                assert len(_tokens(_oracle_word(K))) > MAX_TOKENS, K
+                refused_early += 1
+            else:
+                refused_after_building += 1
+    # the reversed permutations of 16 to 21 circles are refused early
+    assert (refused_early, refused_after_building) == (6, 13)
     with pytest.raises(ValueError, match="at least 503 tokens"):
         format_cobordism(e_block(1, 0, 128))
 
@@ -712,18 +719,10 @@ def _oracle_perm_word(p):
     return t
 
 
-def _oracle_format(K):
+def _oracle_word(K):
+    """K's word, built and printed whatever its length."""
     in_order = [i for c in K.components for i in c.ingoing]
     out_order = [j for c in K.components for j in c.outgoing]
-    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
-            for c in K.components)
-    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
-    for order in (in_order, out_order):
-        if n <= MAX_TOKENS // 2:
-            n += sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    if 2 * n - 1 > MAX_TOKENS:
-        raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
-                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
     word = _oracle_perm_word(sorted(range(K.n_in),
                                     key=in_order.__getitem__))
     blocks = None
@@ -737,8 +736,30 @@ def _oracle_format(K):
         word = piece if word is None else Tens(left=word, right=piece)
     if word is None:
         word = Gen(name="id", params=(0,))
-    text = print_term(word)
-    found = re.findall(r"[A-Za-z_]\w*|\d+|[;*()\[\],]", text)
+    return print_term(word)
+
+
+def _tokens(text):
+    return re.findall(r"[A-Za-z_]\w*|\d+|[;*()\[\],]", text)
+
+
+def _oracle_format(K):
+    in_order = [i for c in K.components for i in c.ingoing]
+    out_order = [j for c in K.components for j in c.outgoing]
+    n = sum(max(1, 2 * (len(c.ingoing) + len(c.outgoing) + c.genus) - 6)
+            for c in K.components)
+    n += sum(max(1, 2 * h - 6) for h in K.closed_genera)
+    for order in (in_order, out_order):
+        if n <= MAX_TOKENS // 2:
+            swaps = sum(a > b for i, a in enumerate(order)
+                        for b in order[i + 1:])
+            # beside each swap among 3 or more circles stands an id[j]
+            n += 2 * swaps if len(order) >= 3 else swaps
+    if 2 * n - 1 > MAX_TOKENS:
+        raise ValueError(f"the word has at least {2 * n - 1} tokens; parse "
+                         f"takes {MAX_TOKENS} and {MAX_NUMBER}")
+    text = _oracle_word(K)
+    found = _tokens(text)
     number = max(map(int, filter(str.isdigit, found)), default=0)
     if len(found) > MAX_TOKENS or number > MAX_NUMBER:
         raise ValueError(f"the word has {len(found)} tokens and numbers up "
@@ -786,11 +807,11 @@ def test_format_writes_the_words_that_print_term_prints():
     outcomes = [outcome(format_cobordism, K) for K in cases]
     assert outcomes == [outcome(_oracle_format, K) for K in cases]
     refusals = [got[1] for got in outcomes if isinstance(got, tuple)]
-    # 4 refused before the word is built, 177 after it
-    assert sum("at least" in refused for refused in refusals) == 4
-    assert sum("numbers up to" in refused for refused in refusals) == 177
+    # 10 refused before the word is built, 171 after it
+    assert sum("at least" in refused for refused in refusals) == 10
+    assert sum("numbers up to" in refused for refused in refusals) == 171
     # general permutations and cobordisms, seeded: 445 of the 2000
-    # permutations round-trip, and 1555 are refused, 544 of them early;
+    # permutations round-trip, and 1555 are refused, 977 of them early;
     # every one of the 2000 cobordisms round-trips
     rng = random.Random(29)
     cases = [permutation(rng.sample(range(n), n))
@@ -804,4 +825,18 @@ def test_format_writes_the_words_that_print_term_prints():
                 for got in outcomes]
     assert refusals[2000:] == [None] * 2000
     assert sum(refused is not None for refused in refusals) == 1555
-    assert sum("at least" in (refused or "") for refused in refusals) == 544
+    assert sum("at least" in (refused or "") for refused in refusals) == 977
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.integers(2, 40).flatmap(lambda n: st.permutations(range(n)))
+    .map(permutation),
+    st.builds(e_block, st.integers(0, 130), st.integers(0, 130),
+              st.integers(0, 130)),
+    st.builds(identity, st.integers(0, 300)),
+    st.randoms(use_true_random=False).map(_random_cobordism)))
+def test_early_count_never_exceeds_the_tokens_of_the_built_word(K):
+    # the oracle builds the word whatever its length, and format_cobordism
+    # writes the same word wherever it builds one
+    assert _min_tokens(K) <= len(_tokens(_oracle_word(K)))

@@ -421,6 +421,21 @@ def test_separating_closure_exhaustive_three_circles():
         ScanBounds(3, 0, 0, 0)) == 23513
 
 
+def test_context_keys_name_every_cap_genus():
+    # K's partners differ from it at labels 0 and 2 (mask bit 2), so
+    # case (c) caps that pair with a = 301, then with a = 45, and K's
+    # record must keep both contexts apart: 301 and 45 agree in their
+    # low eight bits, so a key packing a into eight bits would read the
+    # first context back for the second pair
+    K = Cobordism(1, 2, [component((0,), (), 0), component((), (0,), 0),
+                         component((), (1,), 0)])
+    for genus in (300, 44):
+        L = Cobordism(1, 2, [component((0,), (1,), genus),
+                             component((), (0,), 0)])
+        assert L.max_genus() == genus
+        assert separating_closure(K, L) == _reference_separating_closure(K, L)
+
+
 def _reference_glue(K, caps):
     """The closing context glued for real: a disk of genus caps[i] below
     each ingoing circle i and one of genus caps[n_in + j] above each
