@@ -8,12 +8,20 @@ keyed by flat position, so entry ``(r, c)`` is
 ``nums.get(r * cols + c, 0) / den``; evaluating field theories on two
 or three circles produces matrices with 225 to 3375 columns that are
 mostly zero, and a plain int per entry is far smaller than an
-``(r, c)`` tuple.  Every constructor ends in one normaliser, so the
-form is canonical and ``mat_mul``, ``kron``, ``transpose``, ``scale``,
-``key``, equality and the JSON printer work on integers alone.  The
-normaliser keeps a dict that is already canonical (no zero, gcd 1) as
-it is; any other it rewrites, dropping zeros, dividing the gcd out
-once and sharing one int among the entries with one numerator.
+``(r, c)`` tuple.  The form is canonical, so ``mat_mul``, ``kron``,
+``transpose``, ``scale``, ``key``, equality and the JSON printer work
+on integers alone.  The constructors whose entries may be 0 or share
+a factor with the denominator end in one normaliser: the checked
+constructor, ``scale`` and ``mat_mul``, whose sums can cancel.  It
+keeps a dict that is already canonical (no zero, gcd 1) as it is; any
+other it rewrites, dropping zeros, dividing the gcd out once and
+sharing one int among the entries with one numerator.  The others
+build the canonical form directly and skip it (``_canonical``):
+``identity``, ``swap_matrix`` and ``transpose`` place ones or move the
+entries of a canonical matrix, and in the products ``kron`` and
+``tqft.evaluate`` build, where each entry multiplies one numerator of
+every factor, ``product_divisors`` says in advance what to divide out
+of each factor.
 ``entries``, which nothing in the package reads, is derived on each
 read: the nonzero entries as ``{(r, c): Fraction}`` in lowest terms.
 The ``(r, c)`` constructor alone checks its input: values are ints or
@@ -93,7 +101,7 @@ class RationalMatrix:
         # (den > 0).  Every caller passes a dict of its own, so one that
         # is already canonical (no zero, gcd 1) is kept as it is; any
         # other is rewritten with one int shared per numerator, which
-        # keeps large evaluated matrices small in memory.
+        # keeps large blocks small in memory.
         distinct = set(nums.values())
         g = gcd(den, *distinct)
         self.rows = rows
@@ -114,13 +122,22 @@ class RationalMatrix:
         return cls.__new__(cls)._normalise(rows, cols, nums, den)
 
     @classmethod
+    def _canonical(cls, rows: int, cols: int, nums: dict,
+                   den: int) -> "RationalMatrix":
+        """The matrix with entries ``nums[p] / den``, taken as it is: the
+        caller ensures that it is canonical and its positions in bounds."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.den, m.nums = rows, cols, den, nums
+        return m
+
+    @classmethod
     def _adopt(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
         """The checked constructor, named as the benchmark's tests call it."""
         return cls(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._integer(n, n, {i * (n + 1): 1 for i in range(n)}, 1)
+        return cls._canonical(n, n, {i * (n + 1): 1 for i in range(n)}, 1)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -170,7 +187,7 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         rows, cols = self.rows, self.cols
-        return RationalMatrix._integer(
+        return RationalMatrix._canonical(
             cols, rows, {(p % cols) * rows + p // cols: n
                          for p, n in self.nums.items()}, self.den)
 
@@ -270,20 +287,62 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise ValueError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
             "inner dimensions differ")
-    # group the left factor by column so each nonzero of b is touched
-    # once; row i of a becomes the offset of row i of the product
-    width = b.cols
-    cols_of_a: dict[int, list] = {}
-    for p, v in a.nums.items():
-        i, j = divmod(p, a.cols)
-        cols_of_a.setdefault(j, []).append((i * width, v))
+    # group the operand with fewer nonzeros by its inner index j and walk
+    # the other once, so an entry whose j has no group costs one lookup;
+    # entry (i, j) of a and entry (j, k) of b meet at i * width + k
+    inner, width = a.cols, b.cols
     acc: dict[int, int] = {}
-    for q, w in b.nums.items():
-        j, k = divmod(q, width)
-        for offset, v in cols_of_a.get(j, ()):
-            p = offset + k
-            acc[p] = acc.get(p, 0) + v * w
+    get = acc.get
+    if len(a.nums) <= len(b.nums):
+        cols_of_a: dict[int, list] = {}
+        for p, v in a.nums.items():
+            cols_of_a.setdefault(p % inner, []).append(
+                (p // inner * width, v))
+        for q, w in b.nums.items():
+            group = cols_of_a.get(q // width)
+            if group is not None:
+                k = q % width
+                for offset, v in group:
+                    p = offset + k
+                    acc[p] = get(p, 0) + v * w
+    else:
+        rows_of_b: dict[int, list] = {}
+        for q, w in b.nums.items():
+            rows_of_b.setdefault(q // width, []).append((q % width, w))
+        for p, v in a.nums.items():
+            group = rows_of_b.get(p % inner)
+            if group is not None:
+                offset = p // inner * width
+                for k, w in group:
+                    q = offset + k
+                    acc[q] = get(q, 0) + v * w
     return RationalMatrix._integer(a.rows, width, acc, a.den * b.den)
+
+
+def product_divisors(
+        factors: Sequence[RationalMatrix]) -> tuple[list[int], int]:
+    """The divisors that make a product of canonical factors canonical.
+
+    An entry of the product (``kron``'s, or the matrix ``tqft.evaluate``
+    builds) multiplies one numerator of each factor, over D, the product
+    of their dens.  The gcd of all x_i·y_j is gcd(x)·gcd(y), so the
+    product is canonical, with no zero, once h = gcd(D, ∏ gcd of each
+    factor's numerators) is divided out.  Factor i's divisor is the gcd
+    of D_i, D over the earlier divisors, and its numerators; as
+    gcd(n, xy) = gcd(n, x)·gcd(n / gcd(n, x), y), the divisors multiply
+    to h.  Returns them, one per factor, and the product's den D / h.
+    """
+    den = 1
+    for m in factors:
+        den *= m.den
+    divisors = []
+    for m in factors:
+        # a factor with no entries takes all of den: the zero product's
+        # den is 1
+        d = gcd(den, *m.nums.values()) if den > 1 else 1
+        den //= d
+        divisors.append(d)
+    return divisors, den
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -295,18 +354,20 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """
     ac, br, bc = a.cols, b.rows, b.cols
     width = ac * bc
+    (da, db), den = product_divisors((a, b))
     # entry (ia*br + ib, ja*bc + jb) sits at an outer offset from a's
     # entry (ia, ja) plus an inner offset from b's entry (ib, jb)
-    outer = [(p // ac * br * width + p % ac * bc, va)
+    outer = [(p // ac * br * width + p % ac * bc, va // da)
              for p, va in a.nums.items()]
-    inner = [(q // bc * width + q % bc, vb) for q, vb in b.nums.items()]
+    inner = [(q // bc * width + q % bc, vb // db)
+             for q, vb in b.nums.items()]
     data = {o + i: va * vb for o, va in outer for i, vb in inner}
-    return RationalMatrix._integer(a.rows * br, width, data, a.den * b.den)
+    return RationalMatrix._canonical(a.rows * br, width, data, den)
 
 
 def swap_matrix(d1: int, d2: int) -> RationalMatrix:
     """The flip ``V⊗W -> W⊗V`` for spaces of dimensions d1 and d2."""
     n = d1 * d2
-    return RationalMatrix._integer(
+    return RationalMatrix._canonical(
         n, n, {(j * d1 + i) * n + i * d2 + j: 1
                for i in range(d1) for j in range(d2)}, 1)

@@ -8,12 +8,16 @@ counit∘handle^g∘unit, the 0 -> 0 block.  Pieces sit side by side, so
 an entry of the matrix of K is the product of one entry of each block;
 where a piece's circles sit decides only which tensor slots its block's
 basis indices occupy.  ``evaluate`` therefore makes one pass: starting
-from the 1 x 1 matrix 1, it multiplies in each block, the closed
-pieces' first, sending the block's row and column indices straight to
-the slots of its outgoing and ingoing circles (``_slots``).  The pass
-multiplies integers only: it reads each cached block's numerators and
-denominator (``RationalMatrix.nums`` and ``den``) directly, multiplies
-the denominators into one, and normalises the matrix once at the end.
+from the first block's entries, it multiplies in each further block,
+the closed pieces' first, sending the block's row and column indices
+straight to the slots of its outgoing and ingoing circles
+(``_slots``).  The pass multiplies integers only: it reads each cached
+block's numerators and denominator (``RationalMatrix.nums`` and
+``den``) directly.  Before it starts, ``exact.product_divisors`` gives
+the matrix's denominator and a divisor for each block, which the pass
+divides out of the block's numerators as it places them; the product
+then comes out canonical, with no normalising pass after it, as
+``kron``'s does.
 Positions are flat, as in ``nums`` (row times width plus column), so a
 block entry's slots make one integer offset and placing the block adds
 that offset to each position of the matrix so far.  Two cases need no
@@ -43,7 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .exact import RationalMatrix, kron, mat_mul, read_int
+from .exact import (RationalMatrix, kron, mat_mul, product_divisors,
+                    read_int)
 from .frobenius import (AxiomReport, FrobeniusAlgebra, faithful_algebra, qz5,
                         verify_frobenius, zqs3)
 from .surface import Cobordism
@@ -147,26 +152,29 @@ def evaluate(a: FrobeniusAlgebra, K: Cobordism) -> Evaluation:
     # the closed pieces come first, while the matrix has one entry
     pieces = [((), g, ()) for g in K.closed_genera]
     pieces += [(c.outgoing, c.genus, c.ingoing) for c in K.components]
-    if len(pieces) == 1:
-        outgoing, genus, ingoing = pieces[0]
-        block = component_matrix(a, len(outgoing), genus, len(ingoing))
-        return Evaluation(a, K.n_in, K.n_out, block)
+    blocks = [component_matrix(a, len(outgoing), genus, len(ingoing))
+              for outgoing, genus, ingoing in pieces]
+    if len(blocks) == 1:
+        return Evaluation(a, K.n_in, K.n_out, blocks[0])
     width = a.dim ** K.n_in
-    nums, den = {0: 1}, 1
-    for outgoing, genus, ingoing in pieces:
-        block = component_matrix(a, len(outgoing), genus, len(ingoing))
+    divisors, den = product_divisors(blocks)
+    # the first piece's entries start the matrix; with no pieces it is
+    # the 1 x 1 matrix 1
+    nums = None if blocks else {0: 1}
+    for (outgoing, _, ingoing), block, d in zip(pieces, blocks, divisors):
         if len(outgoing) == K.n_out and len(ingoing) == K.n_in:
             # the piece holds every circle, in order: nothing moves
-            placed = block.nums.items()
+            placed = (block.nums.items() if d == 1 else
+                      [(k, w // d) for k, w in block.nums.items()])
         else:
             rows = _slots(a.dim, outgoing, K.n_out)
             cols = _slots(a.dim, ingoing, K.n_in)
             bc = block.cols
-            placed = [(rows[k // bc] * width + cols[k % bc], w)
+            placed = [(rows[k // bc] * width + cols[k % bc], w // d)
                       for k, w in block.nums.items()]
-        nums = {p + q: v * w for p, v in nums.items() for q, w in placed}
-        den *= block.den
-    matrix = RationalMatrix._integer(a.dim ** K.n_out, width, nums, den)
+        nums = (dict(placed) if nums is None else
+                {p + q: v * w for p, v in nums.items() for q, w in placed})
+    matrix = RationalMatrix._canonical(a.dim ** K.n_out, width, nums, den)
     return Evaluation(a, K.n_in, K.n_out, matrix)
 
 
@@ -174,13 +182,16 @@ ALGEBRAS = {"qz5": qz5, "zqs3": zqs3, "A": faithful_algebra}
 
 
 def read_json(path: str):
-    """The JSON in the file at `path`; ValueError if malformed, too deep
-    or holding an integer of more than ``exact.MAX_VALUE_DIGITS`` digits."""
-    with open(path) as fh:
+    """The JSON in the UTF-8 file at `path`; ValueError, its message led
+    by the path, if the file is not UTF-8 or not JSON, nests too deeply
+    or holds an integer of more than ``exact.MAX_VALUE_DIGITS`` digits."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_int=read_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def load_algebra(selector: str) -> FrobeniusAlgebra:

@@ -280,6 +280,23 @@ def test_separate(capsys, tmp_path):
     assert obj["left"]["invariant"] != obj["right"]["invariant"]
 
 
+def test_json_errors_name_their_file(capsys, tmp_path):
+    # the left file is good, so only the path says which file is bad
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps(e_block(1, 0, 1).to_json_obj()))
+    malformed, binary = tmp_path / "malformed.json", tmp_path / "binary.json"
+    malformed.write_text('{"components": [')
+    binary.write_bytes(b"\xff\xfe{}")
+    for right, message in ((malformed, "Expecting value"),
+                           (binary, "can't decode byte 0xff")):
+        code, out, err = run(capsys, "separate", "--left", str(left),
+                             "--right", str(right))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {right}: ") and message in err
+        assert len(err.encode()) < MAX_ERROR_BYTES, err
+
+
 def test_separate_rejects_a_non_integer_genus(capsys, tmp_path):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -228,6 +229,57 @@ def test_results_stay_reduced(data):
         assert_reduced(result)
 
 
+def _random_matrix(rng, rows, cols, density):
+    return RationalMatrix(rows, cols, {
+        (r, c): F(rng.randint(-9, 9), rng.randint(1, 6))
+        for r in range(rows) for c in range(cols) if rng.random() < density})
+
+
+def test_mat_mul_groups_either_operand():
+    # mat_mul groups the operand with fewer nonzeros by its inner index
+    # and walks the other: both sides, at shapes up to 20 x 20 and mixed
+    # densities, against the dense reference
+    rng = random.Random(31)
+    grouped = set()
+    for _ in range(200):
+        n, m, k = (rng.randint(1, 20) for _ in range(3))
+        a = _random_matrix(rng, n, m, rng.choice((0.02, 0.1, 0.3, 0.7, 1)))
+        b = _random_matrix(rng, m, k, rng.choice((0.02, 0.1, 0.3, 0.7, 1)))
+        grouped.add("a" if len(a.nums) <= len(b.nums) else "b")
+        assert_matches_dense(mat_mul(a, b), reference_mat_mul(a, b))
+    assert grouped == {"a", "b"}
+    # inner indices with no group: a's column 0 meets b's empty row 0,
+    # and b's rows 1 and 2 meet a's empty columns; a has the fewer
+    # nonzeros, then the more
+    a = RationalMatrix.from_rows([[F(1, 2), 0, 0], [3, 0, 0]])
+    b = RationalMatrix.from_rows([[0, 0], [1, 2], [F(1, 3), 4]])
+    for x, y in ((a, b), (b.transpose(), a.transpose())):
+        assert_matches_dense(mat_mul(x, y), reference_mat_mul(x, y))
+    assert mat_mul(a, b) == RationalMatrix(2, 2)
+    # sums that cancel to 0, with either side grouped
+    ones = RationalMatrix.from_rows([[F(1, 2), F(1, 2)]] * 3)
+    minus = RationalMatrix.from_rows([[F(1, 3)], [F(-1, 3)]])
+    for x, y in ((ones, minus), (minus.transpose(), ones.transpose())):
+        zero = mat_mul(x, y)
+        assert zero == RationalMatrix(x.rows, y.cols) and zero.den == 1
+    # empty shapes: 0 x n times n x 0, and n x 0 times 0 x m
+    for n in (0, 1, 4):
+        assert mat_mul(RationalMatrix(0, n),
+                       RationalMatrix(n, 0)) == RationalMatrix(0, 0)
+        zero = mat_mul(RationalMatrix(n, 0), RationalMatrix(0, 3))
+        assert zero.shape == (n, 3) and (zero.den, zero.nums) == (1, {})
+
+
+def test_kron_of_a_zero_factor_has_denominator_one():
+    # the zero factor takes what is left of the product's denominator,
+    # first or last
+    half = RationalMatrix.from_rows([[F(1, 2), F(3, 4)]])
+    zero = RationalMatrix(2, 1)
+    for x, y in ((half, zero), (zero, half)):
+        m = kron(x, y)
+        assert (m.shape, m.den, m.nums) == ((2, 2), 1, {})
+
+
 def test_json_round_trip_and_format():
     m = RationalMatrix(2, 3, {(0, 0): F(3, 2), (1, 2): F(-4, 2)})
     text = m.to_json()
@@ -375,7 +427,10 @@ def test_evaluated_entries_share_one_int_per_numerator():
     # numerators above 256 are not CPython's cached small ints, so each
     # product is a new object unless the normaliser shares it; it does
     # whenever it rewrites a dict, as when it divides out the gcd of the
-    # last product that builds this block
+    # last mat_mul that builds this block.  evaluate returns a block of
+    # one piece as it is cached; a product of several pieces, as kron's,
+    # is canonical as built and never passes the normaliser, so it
+    # shares no ints
     m = evaluate(faithful_algebra(), e_block(2, 2, 2)).matrix
     distinct = set(m.nums.values())
     assert max(distinct) > 256 and len(m.nums) > 10 * len(distinct)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from cobtqft.diagram import elaborate, parse
 from cobtqft.exact import RationalMatrix, kron, mat_mul, swap_matrix
 from cobtqft.frobenius import (FrobeniusAlgebra, faithful_algebra, qz5,
                                tensor_algebra, zqs3)
@@ -265,6 +267,67 @@ def test_a_connected_cobordism_evaluates_to_its_cached_block():
     A = faithful_algebra()
     assert evaluate(A, e_block(2, 2, 2)).matrix is component_matrix(A, 2, 2, 2)
     assert evaluate(A, e_block(0, 3, 0)).matrix is component_matrix(A, 0, 3, 0)
+
+
+def _renormalised(m):
+    """m through the normaliser: equal to m exactly when m is canonical."""
+    return RationalMatrix._integer(m.rows, m.cols, dict(m.nums), m.den)
+
+
+def test_evaluated_products_are_canonical_by_construction(tmp_path):
+    # evaluate and kron divide each factor by its share of the product's
+    # gcd while they build it and keep the result as it is; were it not
+    # canonical, equal matrices could get different key()s and the scan
+    # could certify a collision as distinct
+    from test_faithfulness import _split_algebra
+    algebras = [load_algebra(name) for name in ("A", "zqs3", "qz5")]
+    algebras += [load_algebra(_split_algebra(tmp_path, counit))
+                 for counit in ((F(1, 2), F(1, 3)), (1, F(1, 4)),
+                                (F(1, 2), F(1, 2)))]
+    reduced = krons = 0
+    for a in algebras:
+        small = []
+        for K in enumerate_cobordisms(ScanBounds(2, 1, 1, 1)):
+            m = evaluate(a, K).matrix
+            assert m == _renormalised(m), K
+            # h, the gcd the pass divided out, is the blocks' product of
+            # denominators over the result's
+            den = 1
+            for g in K.closed_genera:
+                den *= component_matrix(a, 0, g, 0).den
+            for c in K.components:
+                den *= component_matrix(a, len(c.outgoing), c.genus,
+                                        len(c.ingoing)).den
+            assert den % m.den == 0
+            reduced += den > m.den
+            if len(m.nums) <= 30:
+                small.append(m)
+        for x, y in zip(small, small[7:]):
+            assert kron(x, y) == _renormalised(kron(x, y))
+            krons += 1
+    assert reduced > 0 and krons > 0
+
+
+def test_a_zero_block_gives_the_canonical_zero_matrix():
+    # Q[x]/(x^2) evaluates the sphere to 0; beside a cylinder the product
+    # has no entries, and the zero matrix's denominator is 1
+    from test_cli import DUAL_NUMBERS
+    a = FrobeniusAlgebra.from_json_obj(DUAL_NUMBERS)
+    m = evaluate(a, elaborate(parse("(eta ; eps) * id[1]"))).matrix
+    assert (m.rows, m.cols, m.den, m.nums) == (2, 2, 1, {})
+
+
+def test_evaluate_at_the_default_bounds_is_pinned():
+    # every matrix of the default scan, its den and numerators in order
+    digest = hashlib.sha256()
+    A = faithful_algebra()
+    cobordisms = enumerate_cobordisms(ScanBounds(2, 2, 1, 3))
+    for K in cobordisms:
+        m = evaluate(A, K).matrix
+        digest.update(repr((m.den, sorted(m.nums.items()))).encode())
+    assert len(cobordisms) == 2330
+    assert digest.hexdigest() == (
+        "658fcae60dd0ac9b61b58ccf31c897505b9588b11dd0398fb48dcb008cbe780e")
 
 
 TINY = ScanBounds(max_circles=1, max_genus=2, max_closed=1, max_closed_genus=2)
